@@ -97,28 +97,19 @@ def kn_matrix(n: int) -> np.ndarray:
 
 
 def _first_violation(u: np.ndarray, s: np.ndarray, zero_tol: float) -> AhpFailure | None:
+    """First entry, in row-major order, where |U_ij| falls in the zero band
+    or sgn(U_ij) differs from S_ij; a zero-band hit wins at the same entry."""
     band_hi = ZERO_BAND_FACTOR * zero_tol
-    rows, cols = u.shape
-    for i in range(rows):
-        for j in range(cols):
-            mag = abs(u[i, j])
-            if mag <= band_hi:
-                return AhpFailure(
-                    kind="zero_entry",
-                    row=i,
-                    col=j,
-                    u_value=float(u[i, j]),
-                    borderline=bool(mag > zero_tol),
-                )
-            if (u[i, j] > 0) != (s[i, j] > 0):
-                return AhpFailure(
-                    kind="sign_mismatch",
-                    row=i,
-                    col=j,
-                    u_value=float(u[i, j]),
-                    s_value=int(s[i, j]),
-                )
-    return None
+    hits = np.flatnonzero((np.abs(u) <= band_hi) | ((u > 0) != (s > 0)))
+    if not hits.size:
+        return None
+    i, j = divmod(int(hits[0]), u.shape[1])
+    value = float(u[i, j])
+    if abs(value) <= band_hi:
+        return AhpFailure(
+            kind="zero_entry", row=i, col=j, u_value=value, borderline=abs(value) > zero_tol
+        )
+    return AhpFailure(kind="sign_mismatch", row=i, col=j, u_value=value, s_value=int(s[i, j]))
 
 
 def verdict_from_polar(
@@ -181,20 +172,11 @@ def ahm_check(
     ortho_dev = numlin.max_abs(u.T @ u - np.eye(n))
     if ortho_dev > ortho_tol:
         raise NotOrthogonalError(f"H/sqrt(N) is not orthogonal (deviation {ortho_dev:.3g})")
-    band_hi = ZERO_BAND_FACTOR * zero_tol
-    mags = np.abs(u)
-    if np.min(mags) <= band_hi:
-        # first zero in row-major order, matching the pattern check
-        i, j = divmod(int(np.flatnonzero(mags <= band_hi)[0]), n)
-        failure = AhpFailure(
-            kind="zero_entry",
-            row=i,
-            col=j,
-            u_value=float(u[i, j]),
-            borderline=bool(mags[i, j] > zero_tol),
-        )
-        return AhpVerdict(status=NOT_AHP, failure=failure, min_hessian_eigenvalue=None, strict=False)
     s = np.where(u > 0, 1, -1).astype(np.int64)
+    # with S = sgn(U) the only possible witness is a zero entry
+    failure = _first_violation(u, s, zero_tol)
+    if failure is not None:
+        return AhpVerdict(status=NOT_AHP, failure=failure, min_hessian_eigenvalue=None, strict=False)
     report = numlin.is_psd(u.T @ s)
     status = AHP if report.min_eigenvalue >= -psd_tol else NOT_AHP
     return AhpVerdict(

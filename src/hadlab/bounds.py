@@ -143,41 +143,48 @@ class BoundReport:
 def _threshold_checks(
     r: int, n: int, a_is_hadamard: bool, c: float | None, a_invertible: bool
 ) -> tuple[ThresholdCheck, ...]:
-    checks = []
-    t1 = threshold_hadamard(r)
-    checks.append(
-        ThresholdCheck(
-            condition=1,
-            applicable=a_is_hadamard,
-            threshold=t1,
-            passes=(n > t1) if a_is_hadamard else None,
-            critical_n=critical_order(t1),
+    def check(condition: int, applicable: bool, threshold: float) -> ThresholdCheck:
+        return ThresholdCheck(
+            condition=condition,
+            applicable=applicable,
+            threshold=threshold,
+            passes=(n > threshold) if applicable else None,
+            critical_n=critical_order(threshold),
         )
+
+    return (
+        check(1, a_is_hadamard, threshold_hadamard(r)),
+        check(2, a_invertible, threshold_from_x(r, r * c))
+        if c is not None
+        else ThresholdCheck(condition=2, applicable=False),
+        check(3, a_invertible, threshold_generic(r)),
     )
-    if c is not None:
-        t2 = threshold_from_x(r, r * c)
-        checks.append(
-            ThresholdCheck(
-                condition=2,
-                applicable=a_invertible,
-                threshold=t2,
-                passes=(n > t2) if a_invertible else None,
-                critical_n=critical_order(t2),
-            )
-        )
-    else:
-        checks.append(ThresholdCheck(condition=2, applicable=False))
-    t3 = threshold_generic(r)
-    checks.append(
-        ThresholdCheck(
-            condition=3,
-            applicable=a_invertible,
-            threshold=t3,
-            passes=(n > t3) if a_invertible else None,
-            critical_n=critical_order(t3),
-        )
+
+
+def corner_bounds(
+    r: int, n: int, a_is_hadamard: bool, c: float | None, a_invertible: bool
+) -> BoundReport:
+    """Every ||E||_inf bound and AHP threshold from the facts about the
+    corner: bound1 needs A Hadamard, bound2 needs c (A invertible) and
+    r^2 < N, bound3 needs r^2 < N.  The body shared by bound_e_inf,
+    ahp_thresholds and the scanner, which passes facts it already has."""
+    return BoundReport(
+        r=r,
+        n=n,
+        a_is_hadamard=a_is_hadamard,
+        c=c,
+        bound1=einf_bound_hadamard(r, n) if a_is_hadamard else None,
+        bound2=einf_bound_from_c(r, n, c) if (c is not None and r * r < n) else None,
+        bound3=einf_bound_generic(r, n) if r * r < n else None,
+        thresholds=_threshold_checks(r, n, a_is_hadamard, c, a_invertible),
     )
-    return tuple(checks)
+
+
+def _square_block(a) -> np.ndarray:
+    a = as_sign_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("A must be square")
+    return a
 
 
 def bound_e_inf(a, n: int) -> BoundReport:
@@ -186,30 +193,11 @@ def bound_e_inf(a, n: int) -> BoundReport:
     Requires r <= N - r.  bound1 needs A Hadamard; bound2 needs A invertible
     and r^2 < N; bound3 needs r^2 < N.
     """
-    a = as_sign_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("A must be square")
+    a = _square_block(a)
     r = a.shape[0]
     if r > n - r:
         raise ValueError(f"requires r <= d, got r={r}, d={n - r}")
-    a_is_h = is_hadamard(a)
-    try:
-        c = polar_gap(a, n)
-    except SingularBlockError:
-        c = None
-    bound1 = einf_bound_hadamard(r, n) if a_is_h else None
-    bound2 = einf_bound_from_c(r, n, c) if (c is not None and r * r < n) else None
-    bound3 = einf_bound_generic(r, n) if r * r < n else None
-    return BoundReport(
-        r=r,
-        n=n,
-        a_is_hadamard=a_is_h,
-        c=c,
-        bound1=bound1,
-        bound2=bound2,
-        bound3=bound3,
-        thresholds=_threshold_checks(r, n, a_is_h, c, a_invertible=c is not None),
-    )
+    return ahp_thresholds(r, n, a)
 
 
 def ahp_thresholds(r: int, n: int, a=None, a_is_hadamard: bool | None = None) -> BoundReport:
@@ -220,32 +208,14 @@ def ahp_thresholds(r: int, n: int, a=None, a_is_hadamard: bool | None = None) ->
     Hadamard).  Without one, ``a_is_hadamard`` asserts condition 1's
     hypothesis and condition 2 is unavailable.
     """
-    if a is not None:
-        a = as_sign_matrix(a)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if a.shape[0] != r:
-            raise ValueError(f"A is {a.shape[0]}x{a.shape[0]} but r={r}")
-        a_is_h = is_hadamard(a)
-        try:
-            c = polar_gap(a, n)
-        except SingularBlockError:
-            c = None
-        invertible = c is not None
-    else:
-        a_is_h = bool(a_is_hadamard)
+    if a is None:
+        # arithmetic-only mode: conditions read as pure (r, N) facts
+        return corner_bounds(r, n, bool(a_is_hadamard), None, a_invertible=True)
+    a = _square_block(a)
+    if a.shape[0] != r:
+        raise ValueError(f"A is {a.shape[0]}x{a.shape[0]} but r={r}")
+    try:
+        c = polar_gap(a, n)
+    except SingularBlockError:
         c = None
-        invertible = True  # arithmetic-only mode: conditions read as pure (r, N) facts
-    bound1 = einf_bound_hadamard(r, n) if a_is_h else None
-    bound2 = einf_bound_from_c(r, n, c) if (c is not None and r * r < n) else None
-    bound3 = einf_bound_generic(r, n) if r * r < n else None
-    return BoundReport(
-        r=r,
-        n=n,
-        a_is_hadamard=a_is_h,
-        c=c,
-        bound1=bound1,
-        bound2=bound2,
-        bound3=bound3,
-        thresholds=_threshold_checks(r, n, a_is_h, c, invertible),
-    )
+    return corner_bounds(r, n, is_hadamard(a), c, a_invertible=c is not None)

@@ -62,7 +62,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json"], default="json")
     parser.add_argument("--max-order", type=int, default=None, help="order cap (env HADLAB_MAX_ORDER)")
     parser.add_argument("--tol-zero", type=float, default=ahp.ZERO_TOL)
-    parser.add_argument("--tol-ortho", type=float, default=numlin.ORTHO_TOL)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,21 +131,15 @@ def _print_real_text(m, digits: int = 6) -> str:
 
 def _report_text(obj, prefix: str = "") -> list[str]:
     lines = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, (dict, list)):
+    items = obj.items() if isinstance(obj, dict) else ((None, value) for value in obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            if key is not None:
                 lines.append(f"{prefix}{key}:")
-                lines.extend(_report_text(value, prefix + "  "))
-            else:
-                rendered = format(value, ".6g") if isinstance(value, float) else value
-                lines.append(f"{prefix}{key}: {rendered}")
-    elif isinstance(obj, list):
-        for value in obj:
-            if isinstance(value, (dict, list)):
-                lines.extend(_report_text(value, prefix + "  "))
-            else:
-                rendered = format(value, ".6g") if isinstance(value, float) else value
-                lines.append(f"{prefix}- {rendered}")
+            lines.extend(_report_text(value, prefix + "  "))
+        else:
+            rendered = format(value, ".6g") if isinstance(value, float) else value
+            lines.append(f"{prefix}- {rendered}" if key is None else f"{prefix}{key}: {rendered}")
     return lines
 
 
@@ -190,7 +183,7 @@ def _cmd_complement(args) -> int:
     h = require_hadamard(_read_sign_matrix(args.matrix))
     part = PartitionedHadamard(h, _parse_indices(args.rows), _parse_indices(args.cols))
     n, r = part.n, part.r
-    verdict = ahp.ahp_check(part.d, zero_tol=args.tol_zero)
+    verdict = ahp.verdict_from_polar(part.d, part.polar_d, zero_tol=args.tol_zero)
     report: dict = {
         "N": n,
         "r": r,
@@ -295,7 +288,7 @@ _COMMANDS = {
 
 
 def _validate_config(args) -> None:
-    if args.tol_zero <= 0 or args.tol_ortho <= 0:
+    if args.tol_zero <= 0:
         raise ValueError("tolerances must be positive")
     max_order = args.max_order if args.max_order is not None else _env_max_order()
     if max_order < 4:

@@ -15,12 +15,13 @@ general LU solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numlin
-from .matcore import PartitionedHadamard, is_hadamard, real_matrix_to_json
+from .matcore import GramIdentity, PartitionedHadamard, real_matrix_to_json
 
 #: Required agreement between the closed form and the SVD oracle.
 CROSS_TOL = 1e-8
@@ -48,6 +49,11 @@ class InapplicableSplitError(ValueError):
         self.order = order
 
 
+def _require_invertible(f: numlin.Svd) -> None:
+    if f.singular:
+        raise SingularBlockError(f"A is singular (min sigma {f.singular_values[-1]:.3g})")
+
+
 def xa_ya(a, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair X_A = (sqrt(N) I + sqrt(A^t A))^-1 Pol(A)^t and
     Y_A = (sqrt(N) I + sqrt(A A^t))^-1 attached to an invertible square A.
@@ -63,9 +69,14 @@ def xa_ya(a, n: int) -> tuple[np.ndarray, np.ndarray]:
     if n <= r:
         raise ValueError(f"order N={n} must exceed the corner size r={r}")
     f = numlin.svd(a)
+    _require_invertible(f)
+    return _xa_ya(f, a, n)
+
+
+def _xa_ya(f: numlin.Svd, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """X_A, Y_A from the SVD ``f`` of the invertible float matrix ``a``,
+    checked against the Gram-eigendecomposition path."""
     s = f.singular_values
-    if s[-1] <= numlin.SINGULAR_RTOL * s[0]:
-        raise SingularBlockError(f"A is singular (min sigma {s[-1]:.3g})")
     rn = np.sqrt(n)
     inv = 1.0 / (rn + s)
     xa = f.w @ np.diag(inv) @ f.v.T
@@ -121,23 +132,22 @@ class ComplementFactors:
 def complement_polar(part: PartitionedHadamard) -> ComplementFactors:
     """Closed-form polar decomposition of the complementary block D.
 
-    Requires the whole matrix to be Hadamard, A invertible, and
-    ||A|| < sqrt(N); raises SingularBlockError / InapplicableSplitError
-    otherwise.  At the boundary ||A|| = sqrt(N) the operation refuses rather
-    than extend the formula.
+    Requires the whole matrix to be Hadamard (decided by the part's exact
+    Gram identities), A invertible, and ||A|| < sqrt(N); raises ValueError /
+    SingularBlockError / InapplicableSplitError otherwise.  At the boundary
+    ||A|| = sqrt(N) the operation refuses rather than extend the formula.
+    X_A and Y_A come from the part's shared SVD of A.
     """
-    if not is_hadamard(part.h):
+    if not all(g.passed for g in gram_identities_check(part)):
         raise ValueError("matrix is not Hadamard")
     n = part.n
     rn = np.sqrt(n)
-    a = part.a.astype(np.float64)
-    sv = np.linalg.svd(a, compute_uv=False)
-    norm_a = float(sv[0])
-    if sv[-1] <= numlin.SINGULAR_RTOL * sv[0]:
-        raise SingularBlockError(f"A is singular (min sigma {sv[-1]:.3g})")
+    f = part.svd_a
+    norm_a = float(f.singular_values[0])
+    _require_invertible(f)
     if norm_a >= rn - NORM_MARGIN:
         raise InapplicableSplitError(norm_a, n)
-    xa, ya = xa_ya(a, n)
+    xa, ya = _xa_ya(f, part.a.astype(np.float64), n)
     b = part.b.astype(np.float64)
     c = part.c.astype(np.float64)
     d = part.d.astype(np.float64)
@@ -152,38 +162,10 @@ def complement_polar(part: PartitionedHadamard) -> ComplementFactors:
 # --- identity checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramIdentity:
-    """Result of one exact integer block identity."""
-
-    identity: str
-    passed: bool
-    max_deviation: float
-
-    def to_json(self) -> dict:
-        return {"identity": self.identity, "pass": self.passed, "maxDeviation": self.max_deviation}
-
-
 def gram_identities_check(part: PartitionedHadamard) -> list[GramIdentity]:
-    """Verify the four block Gram identities of H H^t = H^t H = N I in exact
-    integer arithmetic: AA^t+BB^t = NI, CC^t+DD^t = NI, AC^t+BD^t = 0,
-    A^tA+C^tC = NI."""
-    a, b, c, d = part.a, part.b, part.c, part.d
-    n = part.n
-    r = part.r
-    k = n - r
-    eye_r = np.eye(r, dtype=np.int64)
-    eye_d = np.eye(k, dtype=np.int64)
-    checks = [
-        ("AAt+BBt=NI", a @ a.T + b @ b.T - n * eye_r),
-        ("CCt+DDt=NI", c @ c.T + d @ d.T - n * eye_d),
-        ("ACt+BDt=0", a @ c.T + b @ d.T),
-        ("AtA+CtC=NI", a.T @ a + c.T @ c - n * eye_r),
-    ]
-    return [
-        GramIdentity(name, bool(np.all(resid == 0)), float(np.max(np.abs(resid))))
-        for name, resid in checks
-    ]
+    """The four exact integer block Gram identities of H H^t = H^t H = N I
+    (see PartitionedHadamard.gram)."""
+    return list(part.gram)
 
 
 @dataclass(frozen=True)
@@ -208,14 +190,14 @@ class SvComplementReport:
 
 def singular_value_complement_check(part: PartitionedHadamard, tol: float = 1e-8) -> SvComplementReport:
     """Compare the singular-value multisets of the rescaled blocks A/sqrt(N)
-    and D/sqrt(N).  Requires r <= d."""
+    and D/sqrt(N), read from the part's shared spectra.  Requires r <= d."""
     n, r = part.n, part.r
     k = n - r
     if r > k:
         raise ValueError(f"requires r <= d, got r={r}, d={k}")
     rn = np.sqrt(n)
-    sa = np.sort(np.linalg.svd(part.a.astype(np.float64) / rn, compute_uv=False))
-    sd = np.sort(np.linalg.svd(part.d.astype(np.float64) / rn, compute_uv=False))
+    sa = np.sort(part.svd_a.singular_values / rn)
+    sd = np.sort(part.polar_d.singular_values / rn)
     expected = np.sort(np.concatenate([sa, np.ones(k - r)]))
     dev = numlin.max_abs(expected - sd)
     pairs = tuple((float(x), float(y)) for x, y in zip(expected[::-1], sd[::-1]))
@@ -244,7 +226,13 @@ class DetComplementReport:
 
 def det_complement_check(part: PartitionedHadamard, rtol: float = 1e-6) -> DetComplementReport:
     """Verify |det A| * N^((d-r)/2) = |det D|, determinants computed as
-    singular-value products.
+    singular-value products of the part's shared spectra.
+
+    The comparison runs in log space, sum log sigma_A + (d-r)/2 log N
+    against sum log sigma_D, so it holds at orders where |det D| overflows a
+    double; the relative deviation -expm1(-|difference|) equals
+    |lhs - |det D|| / max(lhs, |det D|).  The reported determinants are the
+    plain products, inf past the float range.
 
     A numerically singular block has exact determinant 0 (sign-matrix
     determinants are integers), and singular-value complementarity makes the
@@ -252,27 +240,20 @@ def det_complement_check(part: PartitionedHadamard, rtol: float = 1e-6) -> DetCo
     """
     n, r = part.n, part.r
     k = n - r
-    sv_a = np.linalg.svd(part.a.astype(np.float64), compute_uv=False)
-    sv_d = np.linalg.svd(part.d.astype(np.float64), compute_uv=False)
-    det_a = float(np.prod(sv_a))
-    det_d = float(np.prod(sv_d))
-    singular_a = sv_a[-1] <= numlin.SINGULAR_RTOL * sv_a[0]
-    singular_d = sv_d[-1] <= numlin.SINGULAR_RTOL * sv_d[0]
-    if singular_a or singular_d:
-        both = singular_a and singular_d
-        return DetComplementReport(
-            det_a_abs=det_a,
-            det_d_abs=det_d,
-            scaled_lhs=0.0 if both else det_a * n ** ((k - r) / 2),
-            relative_deviation=0.0 if both else 1.0,
-            passed=both,
-        )
-    lhs = det_a * n ** ((k - r) / 2)
-    dev = abs(lhs - det_d) / max(abs(lhs), abs(det_d))
+    sv_a = part.svd_a.singular_values
+    sv_d = part.polar_d.singular_values
+    with np.errstate(over="ignore", divide="ignore"):
+        det_a = float(np.prod(sv_a))
+        det_d = float(np.prod(sv_d))
+        log_lhs = float(np.sum(np.log(sv_a))) + (k - r) / 2 * math.log(n)
+        log_d = float(np.sum(np.log(sv_d)))
+        lhs = float(np.exp(log_lhs))
+    if part.svd_a.singular or part.polar_d.singular:
+        passed = part.svd_a.singular and part.polar_d.singular
+        lhs, dev = (0.0, 0.0) if passed else (lhs, 1.0)
+    else:
+        dev = -math.expm1(-abs(log_lhs - log_d))
+        passed = dev <= rtol
     return DetComplementReport(
-        det_a_abs=det_a,
-        det_d_abs=det_d,
-        scaled_lhs=lhs,
-        relative_deviation=dev,
-        passed=dev <= rtol,
+        det_a_abs=det_a, det_d_abs=det_d, scaled_lhs=lhs, relative_deviation=dev, passed=passed
     )

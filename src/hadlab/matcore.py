@@ -11,9 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from . import numlin
 
 #: Largest matrix order the constructors will build by default.
 DEFAULT_MAX_ORDER = 4096
@@ -259,6 +262,18 @@ def _index_tuple(indices, n: int, what: str) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
+@dataclass(frozen=True)
+class GramIdentity:
+    """Result of one exact integer block identity."""
+
+    identity: str
+    passed: bool
+    max_deviation: float
+
+    def to_json(self) -> dict:
+        return {"identity": self.identity, "pass": self.passed, "maxDeviation": self.max_deviation}
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionedHadamard:
     """A square sign matrix together with a row subset and column subset that
@@ -266,12 +281,17 @@ class PartitionedHadamard:
 
     Index sets are 0-based and stored sorted.  The matrix itself is only
     validated as a sign matrix here; operations whose contracts need
-    orthogonal rows check that themselves.
+    orthogonal rows check ``gram``.  The read-only blocks are extracted at
+    construction; the SVD of A, the polar decomposition of D and the Gram
+    identities are computed on first use and shared by every consumer for
+    as long as the part lives.
     """
 
     h: np.ndarray
     rows_a: tuple[int, ...]
     cols_a: tuple[int, ...]
+    rows_d: tuple[int, ...] = field(init=False, repr=False)
+    cols_d: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         h = as_sign_matrix(self.h)
@@ -284,9 +304,18 @@ class PartitionedHadamard:
             raise ValueError("rows_a and cols_a must have the same size")
         if not 1 <= len(rows) < n:
             raise ValueError(f"corner size must satisfy 1 <= r < {n}")
+        rows_d = tuple(sorted(set(range(n)).difference(rows)))
+        cols_d = tuple(sorted(set(range(n)).difference(cols)))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "rows_a", rows)
         object.__setattr__(self, "cols_a", cols)
+        object.__setattr__(self, "rows_d", rows_d)
+        object.__setattr__(self, "cols_d", cols_d)
+        blocks = {"_a": (rows, cols), "_b": (rows, cols_d), "_c": (rows_d, cols), "_d": (rows_d, cols_d)}
+        for name, (row_idx, col_idx) in blocks.items():
+            block = h[np.ix_(row_idx, col_idx)]
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
 
     @property
     def n(self) -> int:
@@ -297,28 +326,51 @@ class PartitionedHadamard:
         return len(self.rows_a)
 
     @property
-    def rows_d(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if i not in set(self.rows_a))
-
-    @property
-    def cols_d(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if j not in set(self.cols_a))
-
-    @property
     def a(self) -> np.ndarray:
-        return self.h[np.ix_(self.rows_a, self.cols_a)]
+        return self._a
 
     @property
     def b(self) -> np.ndarray:
-        return self.h[np.ix_(self.rows_a, self.cols_d)]
+        return self._b
 
     @property
     def c(self) -> np.ndarray:
-        return self.h[np.ix_(self.rows_d, self.cols_a)]
+        return self._c
 
     @property
     def d(self) -> np.ndarray:
-        return self.h[np.ix_(self.rows_d, self.cols_d)]
+        return self._d
+
+    @cached_property
+    def svd_a(self) -> numlin.Svd:
+        """The SVD of the corner A."""
+        return numlin.svd(self.a)
+
+    @cached_property
+    def polar_d(self) -> numlin.PolarDecomposition:
+        """The polar decomposition of the complement D, with D's singular values."""
+        return numlin.polar(self.d)
+
+    @cached_property
+    def gram(self) -> tuple[GramIdentity, ...]:
+        """The four block Gram identities of H H^t = H^t H = N I in exact
+        integer arithmetic: AA^t+BB^t = NI, CC^t+DD^t = NI, AC^t+BD^t = 0,
+        A^tA+C^tC = NI.  The first three are H H^t = N I block by block, so
+        all four pass exactly when H is Hadamard."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        n, r = self.n, self.r
+        eye_r = np.eye(r, dtype=np.int64)
+        eye_d = np.eye(n - r, dtype=np.int64)
+        checks = [
+            ("AAt+BBt=NI", a @ a.T + b @ b.T - n * eye_r),
+            ("CCt+DDt=NI", c @ c.T + d @ d.T - n * eye_d),
+            ("ACt+BDt=0", a @ c.T + b @ d.T),
+            ("AtA+CtC=NI", a.T @ a + c.T @ c - n * eye_r),
+        ]
+        return tuple(
+            GramIdentity(name, bool(np.all(resid == 0)), float(np.max(np.abs(resid))))
+            for name, resid in checks
+        )
 
 
 # --- catalog -----------------------------------------------------------------

@@ -26,9 +26,11 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False)[0])
+def is_singular(singular_values) -> bool:
+    """The one singularity predicate: sigma_min <= SINGULAR_RTOL * sigma_max,
+    for singular values in descending order (an empty spectrum is singular)."""
+    s = singular_values
+    return not s.size or bool(s[-1] <= SINGULAR_RTOL * s[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +41,15 @@ class Svd:
     v: np.ndarray
     singular_values: np.ndarray
     w: np.ndarray
+
+    @property
+    def singular(self) -> bool:
+        return is_singular(self.singular_values)
+
+    @property
+    def polar_factor(self) -> np.ndarray:
+        """The orthogonal polar factor v @ w.T (unique when not singular)."""
+        return self.v @ self.w.T
 
 
 def svd(m) -> Svd:
@@ -53,7 +64,8 @@ class PolarDecomposition:
 
     ``singular`` flags inputs whose orthogonal factor is not uniquely
     determined; downstream sign-pattern checks treat that as its own verdict
-    rather than an error.
+    rather than an error.  ``singular_values`` (descending) are those of m,
+    so callers need no second factorization for its spectrum.
     """
 
     u: np.ndarray
@@ -61,6 +73,7 @@ class PolarDecomposition:
     residual: float
     min_singular_value: float
     singular: bool
+    singular_values: np.ndarray
 
 
 def polar(m) -> PolarDecomposition:
@@ -70,18 +83,17 @@ def polar(m) -> PolarDecomposition:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("polar decomposition requires a square matrix")
     f = svd(m)
-    u = f.v @ f.w.T
-    t = f.w @ np.diag(f.singular_values) @ f.w.T
-    t = (t + t.T) / 2
+    u = f.polar_factor
     s = f.singular_values
-    smin = float(s[-1]) if s.size else 0.0
-    smax = float(s[0]) if s.size else 0.0
+    t = f.w @ np.diag(s) @ f.w.T
+    t = (t + t.T) / 2
     return PolarDecomposition(
         u=u,
         t=t,
         residual=max_abs(m - u @ t),
-        min_singular_value=smin,
-        singular=smin <= SINGULAR_RTOL * smax,
+        min_singular_value=float(s[-1]) if s.size else 0.0,
+        singular=f.singular,
+        singular_values=s,
     )
 
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-import numpy as np
-
 from . import numlin
 from .ahp import ZERO_TOL, AhpVerdict, verdict_from_polar
-from .bounds import BoundReport, bound_e_inf
+from .bounds import BoundReport, corner_bounds
 from .complement import (
+    NORM_MARGIN,
     ComplementFactors,
     DetComplementReport,
     GramIdentity,
@@ -145,20 +144,25 @@ class ScanRecord:
 
 def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
     """Run every check on one split.  Failures land in the record; nothing is
-    raised for mathematically degenerate splits."""
+    raised for mathematically degenerate splits.
+
+    Every check reads the part's one SVD of A and one polar decomposition
+    of D.
+    """
     part = PartitionedHadamard(h, tuple(rows_a), tuple(cols_a))
     n, r = part.n, part.r
     d = n - r
+    rn = math.sqrt(n)
     gram = tuple(gram_identities_check(part))
     gram_ok = all(g.passed for g in gram)
-    sv_a = np.linalg.svd(part.a.astype(np.float64), compute_uv=False)
-    a_norm = float(sv_a[0])
-    a_invertible = sv_a[-1] > numlin.SINGULAR_RTOL * sv_a[0]
+    svd_a = part.svd_a
+    a_norm = float(svd_a.singular_values[0])
+    a_invertible = not svd_a.singular
     a_is_hadamard = is_hadamard(part.a)
-    pol_d = numlin.polar(part.d.astype(np.float64))
+    pol_d = part.polar_d
     verdict = verdict_from_polar(part.d, pol_d, zero_tol)
-    einf = None if pol_d.singular else numlin.max_abs(part.d - math.sqrt(n) * pol_d.u)
-    applicable = gram_ok and a_invertible and a_norm < math.sqrt(n) - 1e-9
+    einf = None if pol_d.singular else numlin.max_abs(part.d - rn * pol_d.u)
+    applicable = gram_ok and a_invertible and a_norm < rn - NORM_MARGIN
     factors = None
     cross_dev = None
     if applicable:
@@ -169,7 +173,9 @@ def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
         einf = factors.einf
     bound_report = None
     if gram_ok and r <= d:
-        bound_report = bound_e_inf(part.a, n).with_actual_einf(einf)
+        # c = ||Pol(A) - A/sqrt(N)||_inf, from the same SVD of A
+        c = numlin.max_abs(svd_a.polar_factor - part.a / rn) if a_invertible else None
+        bound_report = corner_bounds(r, n, a_is_hadamard, c, a_invertible).with_actual_einf(einf)
     sv_check = singular_value_complement_check(part) if r <= d else None
     det_check = det_complement_check(part)
     return ScanRecord(

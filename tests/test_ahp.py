@@ -151,3 +151,48 @@ def test_verdict_json_uses_one_based_indices():
     assert obj["status"] == "NotAHP"
     assert obj["failure"]["row"] == 4 and obj["failure"]["col"] == 4
     assert obj["failure"]["kind"] == "zero_entry"
+
+
+def _first_violation_loop(u, s, zero_tol):
+    """Entry-by-entry reference for ahp._first_violation."""
+    band_hi = ahp.ZERO_BAND_FACTOR * zero_tol
+    for i in range(u.shape[0]):
+        for j in range(u.shape[1]):
+            if abs(u[i, j]) <= band_hi:
+                return ("zero_entry", i, j, abs(u[i, j]) > zero_tol)
+            if (u[i, j] > 0) != (s[i, j] > 0):
+                return ("sign_mismatch", i, j, False)
+    return None
+
+
+def _as_tuple(failure):
+    return None if failure is None else (failure.kind, failure.row, failure.col, failure.borderline)
+
+
+def test_first_violation_sign_mismatch_before_zero_in_row_major_order():
+    u = np.array([[0.5, -0.5, 0.5], [0.0, 0.5, 0.5]])
+    s = np.ones((2, 3), dtype=np.int64)
+    failure = ahp._first_violation(u, s, ahp.ZERO_TOL)
+    assert (failure.kind, failure.row, failure.col) == ("sign_mismatch", 0, 1)
+    assert failure.s_value == 1 and failure.u_value == -0.5
+
+
+def test_first_violation_zero_band_wins_at_one_entry():
+    # U_00 = 5e-7 lies in the zero band and also disagrees in sign with S_00 = -1
+    u = np.array([[5e-7, 0.5], [0.5, -0.5]])
+    s = np.array([[-1, 1], [1, -1]])
+    failure = ahp._first_violation(u, s, ahp.ZERO_TOL)
+    assert (failure.kind, failure.row, failure.col) == ("zero_entry", 0, 0)
+    assert failure.borderline and failure.s_value is None
+
+
+def test_first_violation_matches_entrywise_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        u = rng.normal(size=(4, 5))
+        u[rng.random(size=u.shape) < 0.1] = 0.0
+        u[rng.random(size=u.shape) < 0.1] *= 1e-7
+        s = np.where(u > 0, 1, -1)
+        s[rng.random(size=u.shape) < 0.1] *= -1
+        expected = _first_violation_loop(u, s, ahp.ZERO_TOL)
+        assert _as_tuple(ahp._first_violation(u, s, ahp.ZERO_TOL)) == expected

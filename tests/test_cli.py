@@ -199,3 +199,10 @@ def test_config_invariants_enforced(capsys, w2_file):
     assert "positive" in capsys.readouterr().err
     assert main(["construct", "walsh", "1", "--max-order", "2"]) == 2
     assert "max order" in capsys.readouterr().err
+
+
+def test_tol_ortho_flag_is_gone(capsys, w2_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-ahp", w2_file, "--tol-ortho", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol-ortho" in capsys.readouterr().err

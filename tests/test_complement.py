@@ -101,10 +101,15 @@ def test_complement_polar_refuses_norm_boundary(w4):
         complement_polar(part)
 
 
-def test_complement_polar_requires_hadamard():
+def test_complement_polar_requires_hadamard(w8):
     bad = np.array([[1, 1], [1, 1]], dtype=np.int64)
     with pytest.raises(ValueError):
         complement_polar(PartitionedHadamard(bad, (0,), (0,)))
+    # one flipped entry of D, outside the corner
+    broken = np.array(w8)
+    broken[6, 7] = -broken[6, 7]
+    with pytest.raises(ValueError, match="not Hadamard"):
+        complement_polar(PartitionedHadamard(broken, (0, 1, 2), (0, 1, 2)))
 
 
 def _oracle_agreement(h, r, limit, seed):
@@ -214,3 +219,26 @@ def test_complementarity_identities_random_splits(matrix):
         part = PartitionedHadamard(h, rows, cols)
         assert singular_value_complement_check(part).max_deviation <= 1e-8
         assert det_complement_check(part).relative_deviation <= 1e-6
+
+
+def test_det_complement_in_log_space_past_float_range():
+    # |det D| ~ sqrt(512)^509 overflows a double; the identity still checks
+    part = PartitionedHadamard(matcore.walsh(9), (0, 1, 2), (0, 1, 2))
+    report = det_complement_check(part)
+    assert report.passed and report.relative_deviation <= 1e-9
+    assert report.det_d_abs == np.inf and report.scaled_lhs == np.inf
+    assert report.det_a_abs == pytest.approx(4.0, rel=1e-12)
+
+
+def test_det_complement_log_deviation_equals_plain_ratio(w8):
+    compared = 0
+    for rows, cols in enumerate_splits(w8, 3, limit=60, seed=4):
+        part = PartitionedHadamard(w8, rows, cols)
+        if part.svd_a.singular:
+            continue
+        compared += 1
+        report = det_complement_check(part)
+        lhs = report.det_a_abs * 8.0 ** ((8 - 2 * part.r) / 2)
+        plain = abs(lhs - report.det_d_abs) / max(lhs, report.det_d_abs)
+        assert report.relative_deviation == pytest.approx(plain, abs=1e-14)
+    assert compared >= 10

@@ -65,8 +65,8 @@ CLI_CASES = [
     ("complement_w8_singular", ["complement", "w8.txt", "--rows", "1,2", "--cols", "1,3"], 3),
 ]
 
-#: Key paths (matched as a suffix of the path to a value) whose numbers may
-#: differ in the last bits.
+#: Key paths (matched as a run of consecutive keys on the path to a value) whose
+#: numbers may differ in the last bits.
 TOLERANT_KEYS = (
     ("normA",),
     ("aNorm",),

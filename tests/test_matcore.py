@@ -245,3 +245,14 @@ def test_real_matrix_json_roundtrip():
     text = matcore.json_dumps(obj)
     back = matcore.real_matrix_from_json(json.loads(text))
     assert np.array_equal(back, m)
+
+
+def test_partitioned_hadamard_shares_blocks_and_factorizations(w8):
+    part = PartitionedHadamard(w8, (0, 1, 2), (0, 1, 2))
+    assert part.d is part.d and part.cols_d == (3, 4, 5, 6, 7)
+    for block in (part.a, part.b, part.c, part.d):
+        assert not block.flags.writeable
+    assert part.svd_a is part.svd_a and part.polar_d is part.polar_d and part.gram is part.gram
+    assert np.allclose(part.svd_a.singular_values, np.linalg.svd(part.a, compute_uv=False))
+    assert np.allclose(part.polar_d.singular_values, np.linalg.svd(part.d, compute_uv=False))
+    assert all(g.passed for g in part.gram)

@@ -152,3 +152,18 @@ def test_polar_transposed_gram_identity_on_sign_matrices():
         report = numlin.is_psd(p.u.T @ s)
         assert report.is_psd
         assert numlin.max_abs(p.u.T @ s - numlin.psd_sqrt(s.T @ s)) < 1e-8
+
+
+def test_is_singular_is_the_relative_rank_test():
+    assert numlin.is_singular(np.array([2.0, 1e-11]))
+    assert not numlin.is_singular(np.array([2.0, 1e-9]))
+    assert numlin.is_singular(np.array([]))
+    f = numlin.svd(np.ones((2, 2)))
+    assert f.singular and numlin.polar(np.ones((2, 2))).singular
+
+
+def test_polar_carries_singular_values():
+    m = np.array([[3.0, 1.0], [-1.0, 2.0]])
+    pol = numlin.polar(m)
+    assert np.allclose(pol.singular_values, np.linalg.svd(m, compute_uv=False))
+    assert pol.min_singular_value == pol.singular_values[-1]

@@ -159,3 +159,9 @@ def test_record_json_one_based(w8):
     assert obj["rows"] == [1, 2, 3, 5]
     assert obj["verdict"]["failure"]["row"] == 4
     assert obj["category"] == "NotAHP"
+
+
+def test_classify_split_past_float_range_of_det_d():
+    record = classify_split(matcore.walsh(9), (0, 1, 2), (0, 1, 2))
+    assert record.det_check.passed
+    assert record.category == "AHP"
