@@ -110,9 +110,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_sign_matrix(path: str):
+def _check_order(m, max_order: int):
+    """Refuse a matrix with a dimension above the effective order cap."""
+    if max(m.shape) > max_order:
+        raise MaxOrderError(
+            f"matrix is {m.shape[0]}x{m.shape[1]}, exceeds maximum order {max_order}"
+        )
+    return m
+
+
+def _read_sign_matrix(path: str, max_order: int):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_sign_matrix(fh.read())
+        return _check_order(parse_sign_matrix(fh.read()), max_order)
 
 
 def _parse_indices(raw: str) -> tuple[int, ...]:
@@ -151,11 +160,10 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _cmd_construct(args) -> int:
-    max_order = args.max_order if args.max_order is not None else _env_max_order()
     if args.kind == "walsh":
         if args.param is None:
             raise MatrixFormatError("construct walsh needs an exponent")
-        m = walsh(args.param, max_order=max_order)
+        m = walsh(args.param, max_order=args.max_order)
         print(serialize_sign_matrix(m))
         return EXIT_OK
     if args.kind == "paley12":
@@ -180,7 +188,7 @@ def _verdict_exit(verdict: ahp.AhpVerdict) -> int:
 
 
 def _cmd_complement(args) -> int:
-    h = require_hadamard(_read_sign_matrix(args.matrix))
+    h = require_hadamard(_read_sign_matrix(args.matrix, args.max_order))
     part = PartitionedHadamard(h, _parse_indices(args.rows), _parse_indices(args.cols))
     n, r = part.n, part.r
     verdict = ahp.verdict_from_polar(part.d, part.polar_d, zero_tol=args.tol_zero)
@@ -208,7 +216,7 @@ def _cmd_complement(args) -> int:
 
 
 def _cmd_check_ahp(args) -> int:
-    s = _read_sign_matrix(args.matrix)
+    s = _read_sign_matrix(args.matrix, args.max_order)
     verdict = ahp.ahp_check(s, zero_tol=args.tol_zero)
     _emit(verdict.to_json(), args.format)
     return _verdict_exit(verdict)
@@ -216,7 +224,7 @@ def _cmd_check_ahp(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.block is not None:
-        a = _read_sign_matrix(args.block)
+        a = _read_sign_matrix(args.block, args.max_order)
         if a.shape[0] != args.r:
             raise MatrixFormatError(f"--block is {a.shape[0]}x{a.shape[1]} but --r is {args.r}")
         report = bounds.bound_e_inf(a, args.n)
@@ -227,7 +235,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    h = require_hadamard(_read_sign_matrix(args.matrix))
+    h = require_hadamard(_read_sign_matrix(args.matrix, args.max_order))
     summary = run_scan(
         h,
         args.r,
@@ -241,7 +249,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    d = _read_sign_matrix(args.matrix)
+    d = _read_sign_matrix(args.matrix, args.max_order)
     if args.general:
         emb = embed.embed_general(d)
         mode = "general"
@@ -264,7 +272,7 @@ def _cmd_polar(args) -> int:
         m = real_matrix_from_json(json.loads(text))
     else:
         m = parse_sign_matrix(text).astype(np.float64)
-    pol = numlin.polar(m)
+    pol = numlin.polar(_check_order(m, args.max_order))
     report = {
         "singular": pol.singular,
         "residual": pol.residual,
@@ -288,11 +296,14 @@ _COMMANDS = {
 
 
 def _validate_config(args) -> None:
+    """Check the common flags and resolve ``args.max_order`` to the effective
+    cap (the flag, else HADLAB_MAX_ORDER, else the default)."""
     if args.tol_zero <= 0:
         raise ValueError("tolerances must be positive")
-    max_order = args.max_order if args.max_order is not None else _env_max_order()
-    if max_order < 4:
-        raise ValueError(f"max order must be >= 4, got {max_order}")
+    if args.max_order is None:
+        args.max_order = _env_max_order()
+    if args.max_order < 4:
+        raise ValueError(f"max order must be >= 4, got {args.max_order}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,8 +2,10 @@
 equivalence moves, and bit-exact text/JSON I/O.
 
 All matrices are plain numpy arrays: ``int64`` with entries in {-1, +1} for
-sign matrices, ``float64`` for real matrices.  Hadamard verification is done
-in exact integer arithmetic, never floating point.
+sign matrices, ``float64`` for real matrices.  Hadamard verification is
+exact: every Gram product of a sign matrix is an integer matrix, computed by
+``_sign_gram`` in single precision where each partial sum is represented
+exactly.
 """
 
 from __future__ import annotations
@@ -75,15 +77,27 @@ def as_real_matrix(entries) -> np.ndarray:
     return m
 
 
+def _sign_gram(s) -> np.ndarray:
+    """The exact Gram matrix s @ s.T of a sign matrix, through float32 BLAS.
+
+    Every partial sum of a product of two +-1 rows of length N is an integer
+    of magnitude at most N, and float32 represents every integer up to 2^24
+    exactly, so any summation order or fused multiply-add gives the exact
+    integer.  N <= 2^24 holds for any sign matrix that fits in memory (int64
+    storage of order 2^24 takes 2 PiB), so no fallback is needed.
+    """
+    f = np.asarray(s, dtype=np.float32)
+    return f @ f.T
+
+
 def is_hadamard(s) -> bool:
-    """Exact integer check that ``s`` is square with pairwise orthogonal rows,
+    """Exact check that ``s`` is square with pairwise orthogonal rows,
     i.e. s @ s.T == N * I."""
     s = as_sign_matrix(s)
     n, cols = s.shape
     if n != cols:
         raise ValueError(f"matrix must be square, got {n}x{cols}")
-    gram = s @ s.T
-    return np.array_equal(gram, n * np.eye(n, dtype=np.int64))
+    return np.array_equal(_sign_gram(s), n * np.eye(n, dtype=np.float32))
 
 
 def require_hadamard(s) -> np.ndarray:
@@ -353,24 +367,27 @@ class PartitionedHadamard:
 
     @cached_property
     def gram(self) -> tuple[GramIdentity, ...]:
-        """The four block Gram identities of H H^t = H^t H = N I in exact
-        integer arithmetic: AA^t+BB^t = NI, CC^t+DD^t = NI, AC^t+BD^t = 0,
-        A^tA+C^tC = NI.  The first three are H H^t = N I block by block, so
-        all four pass exactly when H is Hadamard."""
-        a, b, c, d = self.a, self.b, self.c, self.d
+        """The four block Gram identities of H H^t = H^t H = N I, exact
+        (see ``_sign_gram``): AA^t+BB^t = NI, CC^t+DD^t = NI, AC^t+BD^t = 0,
+        A^tA+C^tC = NI.  The first three are the blocks of H H^t = N I over
+        the rows taken as rows_a then rows_d, so all four pass exactly when
+        H is Hadamard."""
         n, r = self.n, self.r
-        eye_r = np.eye(r, dtype=np.int64)
-        eye_d = np.eye(n - r, dtype=np.int64)
+        rows = _sign_gram(self.h[list(self.rows_a + self.rows_d)])
+        rows.flat[:: n + 1] -= n
+        cols = _sign_gram(self.h[:, list(self.cols_a)].T)
+        cols.flat[:: r + 1] -= n
         checks = [
-            ("AAt+BBt=NI", a @ a.T + b @ b.T - n * eye_r),
-            ("CCt+DDt=NI", c @ c.T + d @ d.T - n * eye_d),
-            ("ACt+BDt=0", a @ c.T + b @ d.T),
-            ("AtA+CtC=NI", a.T @ a + c.T @ c - n * eye_r),
+            ("AAt+BBt=NI", rows[:r, :r]),
+            ("CCt+DDt=NI", rows[r:, r:]),
+            ("ACt+BDt=0", rows[:r, r:]),
+            ("AtA+CtC=NI", cols),
         ]
-        return tuple(
-            GramIdentity(name, bool(np.all(resid == 0)), float(np.max(np.abs(resid))))
-            for name, resid in checks
-        )
+        out = []
+        for name, resid in checks:
+            dev = float(np.abs(resid).max())
+            out.append(GramIdentity(name, dev == 0.0, dev))
+        return tuple(out)
 
 
 # --- catalog -----------------------------------------------------------------
@@ -438,6 +455,14 @@ def _emit_json(obj, out: list[str], indent: int, level: int, significant: int) -
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
+            return
+        if all(type(v) is float for v in obj):
+            # plain float lists (matrix data) in one join; same bytes as below
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("cannot format non-finite value")
+            spec = f".{significant}g"
+            body = (",\n" + pad).join([format(v, spec) for v in obj])
+            out.append("[\n" + pad + body + "\n" + closing + "]")
             return
         out.append("[")
         for i, value in enumerate(obj):

@@ -85,7 +85,7 @@ def polar(m) -> PolarDecomposition:
     f = svd(m)
     u = f.polar_factor
     s = f.singular_values
-    t = f.w @ np.diag(s) @ f.w.T
+    t = (f.w * s) @ f.w.T
     t = (t + t.T) / 2
     return PolarDecomposition(
         u=u,

@@ -37,6 +37,9 @@ CATEGORY_NOT_AHP = "NotAHP"
 CATEGORY_SINGULAR_A = "singularA"
 CATEGORY_INAPPLICABLE = "inapplicable"
 
+#: Largest C(N, r)^2 that ``scan`` enumerates without an explicit ``limit``.
+MAX_EXHAUSTIVE_SPLITS = 10**7
+
 
 def _unrank_combination(index: int, n: int, r: int) -> tuple[int, ...]:
     """The index-th r-subset of range(n) in lexicographic order."""
@@ -161,7 +164,6 @@ def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
     a_is_hadamard = is_hadamard(part.a)
     pol_d = part.polar_d
     verdict = verdict_from_polar(part.d, pol_d, zero_tol)
-    einf = None if pol_d.singular else numlin.max_abs(part.d - rn * pol_d.u)
     applicable = gram_ok and a_invertible and a_norm < rn - NORM_MARGIN
     factors = None
     cross_dev = None
@@ -171,6 +173,8 @@ def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
             numlin.max_abs(factors.u - pol_d.u), numlin.max_abs(factors.t - pol_d.t)
         )
         einf = factors.einf
+    else:
+        einf = None if pol_d.singular else numlin.max_abs(part.d - rn * pol_d.u)
     bound_report = None
     if gram_ok and r <= d:
         # c = ||Pol(A) - A/sqrt(N)||_inf, from the same SVD of A
@@ -244,11 +248,21 @@ def scan(
     The summary is an order-independent fold (counts and max-reductions)
     over records taken in lexicographic order, so the result does not depend
     on evaluation strategy.
+
+    Without ``limit``, a scan of more than MAX_EXHAUSTIVE_SPLITS splits is
+    refused with ValueError before anything is enumerated; a ``limit`` of at
+    least the total enumerates every split.
     """
     h = as_sign_matrix(h)
     n = h.shape[0]
     per_axis = math.comb(n, r)
-    sampled = limit is not None and limit < per_axis * per_axis
+    total_splits = per_axis * per_axis
+    if limit is None and total_splits > MAX_EXHAUSTIVE_SPLITS:
+        raise ValueError(
+            f"exhaustive scan of {total_splits} splits exceeds {MAX_EXHAUSTIVE_SPLITS}; "
+            f"sample with --limit, or give a limit >= {total_splits} to enumerate all"
+        )
+    sampled = limit is not None and limit < total_splits
     counts = {
         CATEGORY_AHP: 0,
         CATEGORY_NOT_AHP: 0,

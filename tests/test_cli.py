@@ -206,3 +206,58 @@ def test_tol_ortho_flag_is_gone(capsys, w2_file):
         main(["check-ahp", w2_file, "--tol-ortho", "1e-9"])
     assert exc.value.code == 2
     assert "--tol-ortho" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def w16_files(tmp_path):
+    sign = tmp_path / "w16.txt"
+    sign.write_text(matcore.serialize_sign_matrix(matcore.walsh(4)) + "\n")
+    real = tmp_path / "w16.json"
+    real.write_text(matcore.json_dumps(matcore.real_matrix_to_json(matcore.walsh(4))))
+    return str(sign), str(real)
+
+
+FILE_COMMANDS = {
+    "complement": lambda sign, real: ["complement", sign, "--rows", "1,2,3", "--cols", "1,2,3"],
+    "check-ahp": lambda sign, real: ["check-ahp", sign],
+    "scan": lambda sign, real: ["scan", sign, "--r", "1"],
+    "embed": lambda sign, real: ["embed", sign],
+    "polar-sign": lambda sign, real: ["polar", sign],
+    "polar-json": lambda sign, real: ["polar", real],
+    "bounds-block": lambda sign, real: ["bounds", "--r", "16", "--N", "64", "--block", sign],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_max_order_applies_to_input_files(capsys, monkeypatch, w16_files, command):
+    argv = FILE_COMMANDS[command](*w16_files)
+    assert main(argv + ["--max-order", "8"]) == 2
+    assert "matrix is 16x16, exceeds maximum order 8" in capsys.readouterr().err
+    monkeypatch.setenv("HADLAB_MAX_ORDER", "8")
+    assert main(argv) == 2
+    assert "exceeds maximum order 8" in capsys.readouterr().err
+    code = main(argv + ["--max-order", "16"])
+    captured = capsys.readouterr()
+    assert "16x16" not in captured.err
+    if command == "embed":
+        # the file passes; its order-2^16 Walsh host is over the library's own cap
+        assert code == 2 and "order 2^16" in captured.err
+    else:
+        assert code == 0
+        json.loads(captured.out)
+
+
+def test_embed_runs_under_file_cap(capsys, w8_file):
+    assert main(["embed", w8_file, "--max-order", "4"]) == 2
+    assert "matrix is 8x8" in capsys.readouterr().err
+    assert main(["embed", w8_file, "--max-order", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["hostOrder"] == 256
+
+
+def test_scan_cli_refuses_runaway_exhaustive_scan(capsys, tmp_path):
+    path = tmp_path / "w32.txt"
+    path.write_text(matcore.serialize_sign_matrix(matcore.walsh(5)))
+    assert main(["scan", str(path), "--r", "3"]) == 2
+    assert "--limit" in capsys.readouterr().err
+    assert main(["scan", str(path), "--r", "3", "--limit", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["total"] == 5

@@ -238,6 +238,27 @@ def test_json_dumps_deterministic_and_parseable():
     assert parsed["b"] == [1, 2.5, True, None]
 
 
+def test_json_float_lists_keep_their_bytes():
+    assert matcore.json_dumps((0.1, 2.0, -3.5e-300)) == (
+        "[\n  0.10000000000000001,\n  2,\n  -3.5000000000000002e-300\n]"
+    )
+    assert matcore.json_dumps([1, 2.5, True]) == "[\n  1,\n  2.5,\n  true\n]"
+    nested = [[1.0, 2.0], [3.0, [0.5, 1e20]], [], {"a": [0.25]}]
+    assert matcore.json_dumps(nested) == (
+        "[\n  [\n    1,\n    2\n  ],\n  [\n    3,\n    [\n      0.5,\n      1e+20\n"
+        "    ]\n  ],\n  [],\n  {\n    \"a\": [\n      0.25\n    ]\n  }\n]"
+    )
+    assert matcore.json_dumps({"data": [1.0 / 3, 2.0]}, significant=6) == (
+        '{\n  "data": [\n    0.333333,\n    2\n  ]\n}'
+    )
+
+
+@pytest.mark.parametrize("bad", [[1.0, float("inf")], [float("nan")], (2.0, -float("inf"))])
+def test_json_float_list_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.json_dumps(bad)
+
+
 def test_real_matrix_json_roundtrip():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(3, 5))

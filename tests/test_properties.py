@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hadlab import numlin
 from hadlab.complement import CROSS_TOL, complement_polar
-from hadlab.matcore import PartitionedHadamard, paley12, permute_negate, walsh
+from hadlab.matcore import PartitionedHadamard, is_hadamard, paley12, permute_negate, walsh
 from hadlab.scan import classify_split
 
 MATRICES = {"walsh3": walsh(3), "walsh4": walsh(4), "paley12": paley12()}
@@ -83,3 +83,80 @@ def test_closed_form_matches_oracle_on_equivalents(case):
     oracle = numlin.polar(part.d.astype(np.float64))
     assert numlin.max_abs(factors.u - oracle.u) <= CROSS_TOL
     assert numlin.max_abs(factors.t - oracle.t) <= CROSS_TOL
+
+
+# --- exactness of the single-precision Gram products -------------------------
+
+GRAM_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+GRAM_MATRICES = {**MATRICES, "walsh5": walsh(5)}
+
+
+def _int64_gram_reference(part):
+    """The four block identities as plain int64 products: (name, passed, max |residual|)."""
+    a, b, c, d = part.a, part.b, part.c, part.d
+    n, r = part.n, part.r
+    checks = [
+        ("AAt+BBt=NI", a @ a.T + b @ b.T - n * np.eye(r, dtype=np.int64)),
+        ("CCt+DDt=NI", c @ c.T + d @ d.T - n * np.eye(n - r, dtype=np.int64)),
+        ("ACt+BDt=0", a @ c.T + b @ d.T),
+        ("AtA+CtC=NI", a.T @ a + c.T @ c - n * np.eye(r, dtype=np.int64)),
+    ]
+    return [(name, bool(np.all(res == 0)), float(np.max(np.abs(res)))) for name, res in checks]
+
+
+def _is_hadamard_reference(h):
+    n = h.shape[0]
+    return np.array_equal(h @ h.T, n * np.eye(n, dtype=np.int64))
+
+
+@st.composite
+def sign_matrix_splits(draw):
+    """A random +-1 matrix, or an equivalent of a catalog Hadamard matrix with
+    k flipped entries, and a random split of it."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        seed = draw(st.integers(0, 2**32 - 1))
+        h = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int64), size=(n, n))
+    else:
+        base = GRAM_MATRICES[draw(st.sampled_from(sorted(GRAM_MATRICES)))]
+        n = base.shape[0]
+        signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+        h = np.array(
+            permute_negate(
+                base,
+                draw(st.permutations(range(n))),
+                draw(st.permutations(range(n))),
+                draw(signs),
+                draw(signs),
+            )
+        )
+        for _ in range(draw(st.integers(0, 3))):
+            h[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] *= -1
+    r = draw(st.integers(1, n - 1))
+    index_set = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    return h, draw(index_set), draw(index_set)
+
+
+@GRAM_SETTINGS
+@given(sign_matrix_splits())
+def test_gram_identities_equal_int64_reference(case):
+    h, rows, cols = case
+    part = PartitionedHadamard(h, rows, cols)
+    got = [(g.identity, g.passed, g.max_deviation) for g in part.gram]
+    assert got == _int64_gram_reference(part)
+    assert is_hadamard(h) == _is_hadamard_reference(h)
+
+
+def test_gram_identities_exact_at_order_1024():
+    h = np.array(walsh(10))
+    h[5, 700] *= -1
+    assert not is_hadamard(h)
+    part = PartitionedHadamard(h, (1, 5, 9), (2, 3, 700))
+    got = [(g.identity, g.passed, g.max_deviation) for g in part.gram]
+    assert got == _int64_gram_reference(part)
+    assert got == [
+        ("AAt+BBt=NI", False, 2.0),
+        ("CCt+DDt=NI", True, 0.0),
+        ("ACt+BDt=0", False, 2.0),
+        ("AtA+CtC=NI", False, 2.0),
+    ]

@@ -6,7 +6,13 @@ import pytest
 
 from hadlab import matcore
 from hadlab.matcore import json_dumps
-from hadlab.scan import _unrank_combination, classify_split, enumerate_splits, scan
+from hadlab.scan import (
+    MAX_EXHAUSTIVE_SPLITS,
+    _unrank_combination,
+    classify_split,
+    enumerate_splits,
+    scan,
+)
 
 
 def test_enumeration_counts(w4, w8):
@@ -165,3 +171,17 @@ def test_classify_split_past_float_range_of_det_d():
     record = classify_split(matcore.walsh(9), (0, 1, 2), (0, 1, 2))
     assert record.det_check.passed
     assert record.category == "AHP"
+
+
+def test_scan_refuses_runaway_exhaustive_scan():
+    h = matcore.walsh(5)  # C(32, 3)^2 = 24.6M splits
+    with pytest.raises(ValueError, match="--limit"):
+        scan(h, 3)
+    assert scan(h, 3, limit=10, seed=1).total_splits == 10
+    assert 1820**2 <= MAX_EXHAUSTIVE_SPLITS  # walsh(4) at r = 4 stays exhaustive
+
+
+def test_scan_limit_at_least_total_enumerates_everything(w8):
+    full = scan(w8, 1)
+    assert json_dumps(scan(w8, 1, limit=64).to_json()) == json_dumps(full.to_json())
+    assert scan(w8, 1, limit=10**9).total_splits == 64
