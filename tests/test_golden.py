@@ -35,10 +35,12 @@ SCAN_CASES = [
     ("scan_paley12_r3", "paley12", 3, 120, 7),
     ("scan_paley12_r5", "paley12", 5, 400, 1),
     ("scan_walsh4_r3", "walsh4", 3, 2000, 11),
+    ("scan_walsh2_r3", "walsh2", 3, None, 0),
 ]
 
 #: Input files the CLI cases read, by name.
 INPUTS = {
+    "w4.txt": serialize_sign_matrix(walsh(2)),
     "w8.txt": serialize_sign_matrix(walsh(3)),
     "h12.txt": serialize_sign_matrix(paley12()),
     "w8_d1235.txt": serialize_sign_matrix(PartitionedHadamard(walsh(3), (0, 1, 2, 4), (0, 1, 2, 4)).d),
@@ -63,6 +65,7 @@ CLI_CASES = [
     ("complement_h12_sign_flip", ["complement", "h12.txt", "--rows", "1,2,3,5,6", "--cols", "1,2,3,5,6"], 1),
     ("complement_w8_r3_ahp", ["complement", "w8.txt", "--rows", "1,2,3", "--cols", "1,2,3"], 0),
     ("complement_w8_singular", ["complement", "w8.txt", "--rows", "1,2", "--cols", "1,3"], 3),
+    ("complement_w4_norm_boundary", ["complement", "w4.txt", "--rows", "1,2,3", "--cols", "1,2,3"], 3),
 ]
 
 #: Key paths (matched as a run of consecutive keys on the path to a value) whose
