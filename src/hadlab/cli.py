@@ -18,14 +18,6 @@ import sys
 import numpy as np
 
 from . import ahp, bounds, embed, numlin
-from .complement import (
-    InapplicableSplitError,
-    SingularBlockError,
-    complement_polar,
-    det_complement_check,
-    gram_identities_check,
-    singular_value_complement_check,
-)
 from .matcore import (
     DEFAULT_MAX_ORDER,
     MatrixFormatError,
@@ -40,7 +32,7 @@ from .matcore import (
     serialize_sign_matrix,
     walsh,
 )
-from .scan import scan as run_scan
+from .scan import classify_part, scan as run_scan
 
 EXIT_OK = 0
 EXIT_NOT_AHP = 1
@@ -190,29 +182,25 @@ def _verdict_exit(verdict: ahp.AhpVerdict) -> int:
 def _cmd_complement(args) -> int:
     h = require_hadamard(_read_sign_matrix(args.matrix, args.max_order))
     part = PartitionedHadamard(h, _parse_indices(args.rows), _parse_indices(args.cols))
-    n, r = part.n, part.r
-    verdict = ahp.verdict_from_polar(part.d, part.polar_d, zero_tol=args.tol_zero)
+    record = classify_part(part, zero_tol=args.tol_zero)
     report: dict = {
-        "N": n,
-        "r": r,
-        "rows": [i + 1 for i in part.rows_a],
-        "cols": [j + 1 for j in part.cols_a],
-        "verdict": verdict.to_json(),
-        "gram": [g.to_json() for g in gram_identities_check(part)],
-        "detComplement": det_complement_check(part).to_json(),
+        "N": part.n,
+        "r": part.r,
+        "rows": [i + 1 for i in record.rows_a],
+        "cols": [j + 1 for j in record.cols_a],
+        "verdict": record.verdict.to_json(),
+        "gram": [g.to_json() for g in record.gram],
+        "detComplement": record.det_check.to_json(),
     }
-    if r <= n - r:
-        report["svComplement"] = singular_value_complement_check(part).to_json()
-    try:
-        factors = complement_polar(part)
-    except (SingularBlockError, InapplicableSplitError) as exc:
-        report["applicable"] = False
-        report["reason"] = str(exc)
+    if record.sv_check is not None:
+        report["svComplement"] = record.sv_check.to_json()
+    if record.factors is None:
+        report.update(applicable=False, reason=record.reason)
         _emit(report, args.format)
         return EXIT_INAPPLICABLE
-    report.update(factors.to_json())
+    report.update(record.factors.to_json())
     _emit(report, args.format)
-    return _verdict_exit(verdict)
+    return _verdict_exit(record.verdict)
 
 
 def _cmd_check_ahp(args) -> int:

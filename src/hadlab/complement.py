@@ -109,7 +109,6 @@ class ComplementFactors:
     u: np.ndarray
     t: np.ndarray
     norm_a: float
-    applicable: bool = True
 
     @property
     def einf(self) -> float:
@@ -117,7 +116,7 @@ class ComplementFactors:
 
     def to_json(self) -> dict:
         return {
-            "applicable": self.applicable,
+            "applicable": True,
             "normA": self.norm_a,
             "einf": self.einf,
             "XA": real_matrix_to_json(self.xa),

@@ -486,7 +486,7 @@ def real_matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    return {"rows": m.shape[0], "cols": m.shape[1], "data": [float(v) for v in m.ravel()]}
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
 
 
 def real_matrix_from_json(obj) -> np.ndarray:

@@ -20,10 +20,11 @@ from . import numlin
 from .ahp import ZERO_TOL, AhpVerdict, verdict_from_polar
 from .bounds import BoundReport, corner_bounds
 from .complement import (
-    NORM_MARGIN,
     ComplementFactors,
     DetComplementReport,
     GramIdentity,
+    InapplicableSplitError,
+    SingularBlockError,
     SvComplementReport,
     complement_polar,
     det_complement_check,
@@ -111,6 +112,7 @@ class ScanRecord:
     sv_check: SvComplementReport | None
     det_check: DetComplementReport | None
     gram: tuple[GramIdentity, ...]
+    reason: str | None = None  # complement_polar's refusal, if it refused
 
     @property
     def category(self) -> str:
@@ -146,13 +148,18 @@ class ScanRecord:
 
 
 def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
+    """classify_part on one split of ``h``; the entry point ``scan`` calls per split."""
+    return classify_part(PartitionedHadamard(h, tuple(rows_a), tuple(cols_a)), zero_tol)
+
+
+def classify_part(part: PartitionedHadamard, zero_tol: float = ZERO_TOL) -> ScanRecord:
     """Run every check on one split.  Failures land in the record; nothing is
     raised for mathematically degenerate splits.
 
-    Every check reads the part's one SVD of A and one polar decomposition
-    of D.
+    When the Gram identities pass, complement_polar alone decides whether
+    the closed form applies; its refusal is kept as ``reason``.  Every check
+    reads the part's one SVD of A and one polar decomposition of D.
     """
-    part = PartitionedHadamard(h, tuple(rows_a), tuple(cols_a))
     n, r = part.n, part.r
     d = n - r
     rn = math.sqrt(n)
@@ -164,11 +171,15 @@ def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
     a_is_hadamard = is_hadamard(part.a)
     pol_d = part.polar_d
     verdict = verdict_from_polar(part.d, pol_d, zero_tol)
-    applicable = gram_ok and a_invertible and a_norm < rn - NORM_MARGIN
     factors = None
     cross_dev = None
-    if applicable:
-        factors = complement_polar(part)
+    reason = None
+    if gram_ok:
+        try:
+            factors = complement_polar(part)
+        except (SingularBlockError, InapplicableSplitError) as exc:
+            reason = str(exc)
+    if factors is not None:
         cross_dev = max(
             numlin.max_abs(factors.u - pol_d.u), numlin.max_abs(factors.t - pol_d.t)
         )
@@ -189,7 +200,7 @@ def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
         a_invertible=a_invertible,
         a_is_hadamard=a_is_hadamard,
         a_norm=a_norm,
-        applicable=applicable,
+        applicable=factors is not None,
         einf=einf,
         cross_dev=cross_dev,
         verdict=verdict,
@@ -198,6 +209,7 @@ def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
         sv_check=sv_check,
         det_check=det_check,
         gram=gram,
+        reason=reason,
     )
 
 

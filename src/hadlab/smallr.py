@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numlin
 from .matcore import (
     BlockConstantSpec,
     PartitionedHadamard,
@@ -43,7 +44,7 @@ class SmallRForm:
 
     @property
     def einf(self) -> float:
-        return float(np.max(np.abs(self.e))) if self.e.size else 0.0
+        return numlin.max_abs(self.e)
 
     def to_json(self) -> dict:
         return {

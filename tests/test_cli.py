@@ -5,6 +5,8 @@ import pytest
 
 from hadlab import matcore
 from hadlab.cli import main
+from hadlab.complement import InapplicableSplitError, SingularBlockError, complement_polar
+from hadlab.scan import classify_part, enumerate_splits
 from conftest import W8_TEXT
 
 
@@ -93,6 +95,42 @@ def test_complement_inapplicable_exit(capsys, tmp_path):
     assert code == 3
     obj = json.loads(capsys.readouterr().out)
     assert obj["applicable"] is False
+
+
+#: The exit code of ``hadlab complement`` implied by a scan record's category.
+CATEGORY_EXIT = {"AHP": 0, "NotAHP": 1, "singularA": 3, "inapplicable": 3}
+
+
+def _agreement_splits():
+    """Every split of walsh(2) at r = 1..3, and seeded samples of walsh(3) at r = 2 and 4."""
+    splits = [(2, rows, cols) for r in (1, 2, 3) for rows, cols in enumerate_splits(matcore.walsh(2), r)]
+    for r in (2, 4):
+        splits += [(3, rows, cols) for rows, cols in enumerate_splits(matcore.walsh(3), r, limit=60, seed=r)]
+    return splits
+
+
+def test_complement_cli_agrees_with_scan_record(capsys, tmp_path):
+    seen_codes, seen_refusals = set(), set()
+    for k, rows, cols in _agreement_splits():
+        path = tmp_path / f"w{k}.txt"
+        path.write_text(matcore.serialize_sign_matrix(matcore.walsh(k)))
+        argv = ["complement", str(path), "--rows", ",".join(str(i + 1) for i in rows)]
+        code = main(argv + ["--cols", ",".join(str(j + 1) for j in cols)])
+        report = json.loads(capsys.readouterr().out)
+        part = matcore.PartitionedHadamard(matcore.walsh(k), rows, cols)
+        record = classify_part(part)
+        assert code == CATEGORY_EXIT[record.category], (rows, cols)
+        assert ("reason" in report) == (record.reason is not None)
+        try:
+            complement_polar(part)
+        except (SingularBlockError, InapplicableSplitError) as exc:
+            assert record.reason == str(exc) == report["reason"]
+            seen_refusals.add(type(exc))
+        else:
+            assert record.reason is None
+        seen_codes.add(code)
+    assert seen_codes == {0, 1, 3}
+    assert seen_refusals == {SingularBlockError, InapplicableSplitError}
 
 
 def test_complement_bad_indices_exit(capsys, w2_file):

@@ -9,6 +9,7 @@ from hadlab.matcore import json_dumps
 from hadlab.scan import (
     MAX_EXHAUSTIVE_SPLITS,
     _unrank_combination,
+    classify_part,
     classify_split,
     enumerate_splits,
     scan,
@@ -77,6 +78,7 @@ def test_classify_r1_split(w4):
     assert record.category == "AHP"
     assert record.gram_ok and record.sv_check.passed and record.det_check.passed
     assert record.cross_dev <= 1e-8
+    assert record.reason is None
 
 
 def test_classify_singular_corner(w4):
@@ -85,6 +87,7 @@ def test_classify_singular_corner(w4):
     assert record.category == "singularA"
     assert record.verdict.status == "Singular"
     assert record.einf is None
+    assert record.reason.startswith("A is singular")
 
 
 def test_classify_norm_boundary(w4):
@@ -93,6 +96,14 @@ def test_classify_norm_boundary(w4):
     assert record.category == "inapplicable"
     assert record.verdict.is_ahp  # generic polar still classifies D
     assert record.bound_report is None  # r > d, bounds out of scope
+    assert record.reason == "closed form inapplicable: ||A|| = 2 >= sqrt(4)"
+    assert "reason" not in record.to_json()
+
+
+def test_classify_split_is_classify_part(w8):
+    part = matcore.PartitionedHadamard(w8, (0, 1, 2, 4), (0, 1, 2, 4))
+    expected = json_dumps(classify_part(part).to_json())
+    assert json_dumps(classify_split(w8, [0, 1, 2, 4], [0, 1, 2, 4]).to_json()) == expected
 
 
 def test_scan_order_8_r1(w8):
