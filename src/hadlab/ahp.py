@@ -119,7 +119,11 @@ def verdict_from_polar(
 
     Shared with the scanner so a polar factor computed once is not redone.
     """
-    s = as_sign_matrix(s)
+    return _verdict(as_sign_matrix(s), pol, zero_tol)
+
+
+def _verdict(s: np.ndarray, pol: numlin.PolarDecomposition, zero_tol: float) -> AhpVerdict:
+    """verdict_from_polar for a sign matrix ``s`` its caller has already validated."""
     if pol.singular:
         return AhpVerdict(status=SINGULAR, failure=None, min_hessian_eigenvalue=None, strict=False)
     u = pol.u
@@ -148,7 +152,7 @@ def ahp_check(s, zero_tol: float = ZERO_TOL) -> AhpVerdict:
     s = as_sign_matrix(s)
     if s.shape[0] != s.shape[1]:
         raise ValueError("AHP check requires a square matrix")
-    return verdict_from_polar(s, numlin.polar(s.astype(np.float64)), zero_tol)
+    return _verdict(s, numlin.polar(s.astype(np.float64)), zero_tol)
 
 
 def ahm_check(

@@ -4,8 +4,9 @@ Subcommands: construct, complement, check-ahp, bounds, scan, embed, polar.
 Sign matrices travel in the '+'/'-' text format; reports are JSON with
 full-precision floats (or a terse text rendering with --format text).
 
-Exit codes: 0 success / AHP, 1 NotAHP, 2 usage or input errors,
-3 inapplicable (singular corner, norm boundary, or singular pattern).
+Exit codes: 0 success / AHP, 1 NotAHP, 2 usage or input errors, or a
+failed internal numerical check (ArithmeticError), 3 inapplicable (singular
+corner, norm boundary, or singular pattern).
 """
 
 from __future__ import annotations
@@ -239,14 +240,14 @@ def _cmd_scan(args) -> int:
 def _cmd_embed(args) -> int:
     d = _read_sign_matrix(args.matrix, args.max_order)
     if args.general:
-        emb = embed.embed_general(d)
+        emb = embed.embed_general(d, max_order=args.max_order)
         mode = "general"
     else:
         try:
-            emb = embed.embed_distinct_columns(d)
+            emb = embed.embed_distinct_columns(d, max_order=args.max_order)
             mode = "distinct-columns"
         except embed.DuplicateColumnsError:
-            emb = embed.embed_general(d)
+            emb = embed.embed_general(d, max_order=args.max_order)
             mode = "general"
     report = {"mode": mode, **emb.to_json()}
     _emit(report, args.format)
@@ -299,7 +300,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate_config(args)
         return _COMMANDS[args.command](args)
-    except (MatrixFormatError, MaxOrderError, OSError, KeyError, ValueError) as exc:
+    except (
+        MatrixFormatError,
+        MaxOrderError,
+        OSError,
+        KeyError,
+        ValueError,
+        ArithmeticError,  # a numerical self-check failed (X_A/Y_A paths, polar identity)
+    ) as exc:
         print(f"hadlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -59,9 +59,10 @@ def _probe_rows(size: int) -> tuple[int, ...]:
     return tuple(1 << (size - 1 - i) for i in range(size))
 
 
-def embed_distinct_columns(d) -> Embedding:
+def embed_distinct_columns(d, max_order: int | None = None) -> Embedding:
     """Embed a square sign matrix with pairwise distinct columns into the
-    Walsh matrix of order exactly 2^d."""
+    Walsh matrix of order exactly 2^d.  ``max_order`` caps the host as in
+    ``walsh``."""
     d = as_sign_matrix(d)
     if d.shape[0] != d.shape[1]:
         raise ValueError("target must be square")
@@ -69,15 +70,16 @@ def embed_distinct_columns(d) -> Embedding:
     cols = [_column_bit_index(d, j) for j in range(size)]
     if len(set(cols)) != size:
         raise DuplicateColumnsError("target has duplicate columns")
-    emb = Embedding(host=walsh(size), row_indices=_probe_rows(size), col_indices=tuple(cols))
+    host = walsh(size, max_order=max_order)
+    emb = Embedding(host=host, row_indices=_probe_rows(size), col_indices=tuple(cols))
     if not np.array_equal(emb.extract(), d):
         raise AssertionError("embedding construction failed to reproduce the target")
     return emb
 
 
-def embed_general(d) -> Embedding:
+def embed_general(d, max_order: int | None = None) -> Embedding:
     """Embed an arbitrary square sign matrix into the Walsh matrix of order
-    exactly 2^(d + ceil(log2 d)).
+    exactly 2^(d + ceil(log2 d)).  ``max_order`` caps the host as in ``walsh``.
 
     The k-th occurrence of a repeated column goes to the k-th copy of the
     probe block, which makes the column index list the lexicographically
@@ -88,7 +90,7 @@ def embed_general(d) -> Embedding:
         raise ValueError("target must be square")
     size = d.shape[0]
     copy_exp = (size - 1).bit_length()  # ceil(log2 d), with d=1 -> 0
-    host = walsh(size + copy_exp)
+    host = walsh(size + copy_exp, max_order=max_order)
     block = 1 << size
     seen: dict[int, int] = {}
     cols = []

@@ -90,6 +90,13 @@ def _sign_gram(s) -> np.ndarray:
     return f @ f.T
 
 
+def _rows_orthogonal(s: np.ndarray) -> bool:
+    """s @ s.T == N * I, exactly, for a square sign matrix its caller has
+    already validated."""
+    n = s.shape[0]
+    return np.array_equal(_sign_gram(s), n * np.eye(n, dtype=np.float32))
+
+
 def is_hadamard(s) -> bool:
     """Exact check that ``s`` is square with pairwise orthogonal rows,
     i.e. s @ s.T == N * I."""
@@ -97,7 +104,7 @@ def is_hadamard(s) -> bool:
     n, cols = s.shape
     if n != cols:
         raise ValueError(f"matrix must be square, got {n}x{cols}")
-    return np.array_equal(_sign_gram(s), n * np.eye(n, dtype=np.float32))
+    return _rows_orthogonal(s)
 
 
 def require_hadamard(s) -> np.ndarray:
@@ -184,9 +191,49 @@ def permute_negate(s, row_perm=None, col_perm=None, row_signs=None, col_signs=No
     return out
 
 
+#: Byte classes of the sign-text fast path: 0 anything else, then '+', '-',
+#: a space or tab (ignored), and the line feed.
+_OTHER, _PLUS, _MINUS, _BLANK, _NEWLINE = range(5)
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[[ord("+"), ord("-"), ord(" "), ord("\t"), ord("\n")]] = (
+    _PLUS,
+    _MINUS,
+    _BLANK,
+    _BLANK,
+    _NEWLINE,
+)
+
+
 def parse_sign_matrix(text: str) -> np.ndarray:
     """Parse the sign-text format: one row per line of '+'/'-' characters,
-    spaces inside a row ignored, blank lines skipped."""
+    spaces inside a row ignored, blank lines skipped.
+
+    Text made only of '+', '-', spaces, tabs and line feeds is decoded over
+    its bytes at once; any other character sends it to the line scan, which
+    reports the first invalid character or strips other whitespace at the
+    ends of lines (a CR before each LF, say).
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    cls = _BYTE_CLASS[raw]
+    if (cls == _OTHER).any():
+        return _parse_sign_lines(text)
+    is_sign = cls <= _MINUS
+    signs_before = np.cumsum(is_sign)
+    line_ends = np.concatenate([signs_before[cls == _NEWLINE], signs_before[-1:]])
+    widths = np.diff(line_ends, prepend=0)
+    widths = widths[widths > 0]
+    if not widths.size:
+        raise MatrixFormatError("empty matrix text")
+    if (widths != widths[0]).any():
+        raise MatrixFormatError("ragged rows: all rows must have equal length")
+    out = np.where(cls[is_sign] == _PLUS, 1, -1).astype(np.int64, copy=False)
+    out = out.reshape(widths.size, int(widths[0]))
+    out.setflags(write=False)
+    return out
+
+
+def _parse_sign_lines(text: str) -> np.ndarray:
+    """The line-by-line reference parser behind parse_sign_matrix."""
     rows = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.replace(" ", "").replace("\t", "").strip()
@@ -276,6 +323,10 @@ def _index_tuple(indices, n: int, what: str) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
+def _complement(idx: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return tuple(sorted(set(range(n)).difference(idx)))
+
+
 @dataclass(frozen=True)
 class GramIdentity:
     """Result of one exact integer block identity."""
@@ -286,6 +337,12 @@ class GramIdentity:
 
     def to_json(self) -> dict:
         return {"identity": self.identity, "pass": self.passed, "maxDeviation": self.max_deviation}
+
+
+_GRAM_NAMES = ("AAt+BBt=NI", "CCt+DDt=NI", "ACt+BDt=0", "AtA+CtC=NI")
+#: The block Gram identities of every split of a Hadamard matrix: each block
+#: of H H^t - N I = 0 and of H^t H - N I = 0 is exactly zero.
+_HADAMARD_GRAM = tuple(GramIdentity(name, True, 0.0) for name in _GRAM_NAMES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,16 +375,39 @@ class PartitionedHadamard:
             raise ValueError("rows_a and cols_a must have the same size")
         if not 1 <= len(rows) < n:
             raise ValueError(f"corner size must satisfy 1 <= r < {n}")
-        rows_d = tuple(sorted(set(range(n)).difference(rows)))
-        cols_d = tuple(sorted(set(range(n)).difference(cols)))
+        self._set_blocks(h, rows, cols)
+
+    @classmethod
+    def _from_checked(
+        cls, h: np.ndarray, rows_a: tuple[int, ...], cols_a: tuple[int, ...], hadamard: bool
+    ) -> "PartitionedHadamard":
+        """A part whose inputs the caller has already validated: ``h`` is a
+        read-only square sign matrix (``as_sign_matrix``) and the index tuples
+        are sorted, distinct, in range and of one size 1 <= r < N.  Nothing is
+        checked again.  ``hadamard`` is the caller's ``is_hadamard(h)``; when
+        it holds, ``gram`` is the all-pass tuple without a product, which is
+        exact, not an approximation."""
+        part = object.__new__(cls)
+        part._set_blocks(h, rows_a, cols_a)
+        if hadamard:
+            part.__dict__["gram"] = _HADAMARD_GRAM
+        return part
+
+    def _set_blocks(self, h: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
+        """Store the validated inputs and extract the four blocks from two row gathers."""
+        n = h.shape[0]
+        rows_d = _complement(rows, n)
+        cols_d = _complement(cols, n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "rows_a", rows)
         object.__setattr__(self, "cols_a", cols)
         object.__setattr__(self, "rows_d", rows_d)
         object.__setattr__(self, "cols_d", cols_d)
-        blocks = {"_a": (rows, cols), "_b": (rows, cols_d), "_c": (rows_d, cols), "_d": (rows_d, cols_d)}
-        for name, (row_idx, col_idx) in blocks.items():
-            block = h[np.ix_(row_idx, col_idx)]
+        top = h.take(rows, axis=0)
+        bottom = h.take(rows_d, axis=0)
+        blocks = {"_a": (top, cols), "_b": (top, cols_d), "_c": (bottom, cols), "_d": (bottom, cols_d)}
+        for name, (row_block, col_idx) in blocks.items():
+            block = row_block.take(col_idx, axis=1)
             block.setflags(write=False)
             object.__setattr__(self, name, block)
 
@@ -377,14 +457,9 @@ class PartitionedHadamard:
         rows.flat[:: n + 1] -= n
         cols = _sign_gram(self.h[:, list(self.cols_a)].T)
         cols.flat[:: r + 1] -= n
-        checks = [
-            ("AAt+BBt=NI", rows[:r, :r]),
-            ("CCt+DDt=NI", rows[r:, r:]),
-            ("ACt+BDt=0", rows[:r, r:]),
-            ("AtA+CtC=NI", cols),
-        ]
+        checks = (rows[:r, :r], rows[r:, r:], rows[:r, r:], cols)
         out = []
-        for name, resid in checks:
+        for name, resid in zip(_GRAM_NAMES, checks):
             dev = float(np.abs(resid).max())
             out.append(GramIdentity(name, dev == 0.0, dev))
         return tuple(out)
@@ -457,12 +532,13 @@ def _emit_json(obj, out: list[str], indent: int, level: int, significant: int) -
             out.append("[]")
             return
         if all(type(v) is float for v in obj):
-            # plain float lists (matrix data) in one join; same bytes as below
+            # plain float lists (matrix data) in one %-format call: "%.17g" % v
+            # prints a float exactly as format(v, ".17g") does, so the bytes
+            # are those of the loop below
             if not all(map(math.isfinite, obj)):
                 raise ValueError("cannot format non-finite value")
-            spec = f".{significant}g"
-            body = (",\n" + pad).join([format(v, spec) for v in obj])
-            out.append("[\n" + pad + body + "\n" + closing + "]")
+            template = (",\n" + pad).join([f"%.{significant}g"] * len(obj))
+            out.append("[\n" + pad + template % tuple(obj) + "\n" + closing + "]")
             return
         out.append("[")
         for i, value in enumerate(obj):

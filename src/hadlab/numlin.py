@@ -23,7 +23,7 @@ SINGULAR_RTOL = 1e-10
 def max_abs(m) -> float:
     """Largest entry magnitude, max_ij |m_ij| (0 for an empty matrix)."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def is_singular(singular_values) -> bool:

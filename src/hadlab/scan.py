@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from . import numlin
-from .ahp import ZERO_TOL, AhpVerdict, verdict_from_polar
+from .ahp import ZERO_TOL, AhpVerdict, _verdict
 from .bounds import BoundReport, corner_bounds
 from .complement import (
     ComplementFactors,
@@ -31,7 +31,13 @@ from .complement import (
     gram_identities_check,
     singular_value_complement_check,
 )
-from .matcore import PartitionedHadamard, as_sign_matrix, is_hadamard, matrix_digest
+from .matcore import (
+    PartitionedHadamard,
+    _rows_orthogonal,
+    as_sign_matrix,
+    is_hadamard,
+    matrix_digest,
+)
 
 CATEGORY_AHP = "AHP"
 CATEGORY_NOT_AHP = "NotAHP"
@@ -147,9 +153,20 @@ class ScanRecord:
         return out
 
 
-def classify_split(h, rows_a, cols_a, zero_tol: float = ZERO_TOL) -> ScanRecord:
-    """classify_part on one split of ``h``; the entry point ``scan`` calls per split."""
-    return classify_part(PartitionedHadamard(h, tuple(rows_a), tuple(cols_a)), zero_tol)
+def classify_split(
+    h, rows_a, cols_a, zero_tol: float = ZERO_TOL, *, _hadamard: bool | None = None
+) -> ScanRecord:
+    """classify_part on one split of ``h``; the entry point ``scan`` calls per split.
+
+    ``_hadamard`` is for ``scan`` alone: it passes is_hadamard(h) for the ``h``
+    and the enumerated index tuples it has already validated, and the part is
+    built without checking them again.
+    """
+    if _hadamard is None:
+        part = PartitionedHadamard(h, tuple(rows_a), tuple(cols_a))
+    else:
+        part = PartitionedHadamard._from_checked(h, rows_a, cols_a, _hadamard)
+    return classify_part(part, zero_tol)
 
 
 def classify_part(part: PartitionedHadamard, zero_tol: float = ZERO_TOL) -> ScanRecord:
@@ -168,9 +185,9 @@ def classify_part(part: PartitionedHadamard, zero_tol: float = ZERO_TOL) -> Scan
     svd_a = part.svd_a
     a_norm = float(svd_a.singular_values[0])
     a_invertible = not svd_a.singular
-    a_is_hadamard = is_hadamard(part.a)
+    a_is_hadamard = _rows_orthogonal(part.a)
     pol_d = part.polar_d
-    verdict = verdict_from_polar(part.d, pol_d, zero_tol)
+    verdict = _verdict(part.d, pol_d, zero_tol)
     factors = None
     cross_dev = None
     reason = None
@@ -257,6 +274,11 @@ def scan(
 ) -> ScanSummary:
     """Fold classify_split over the enumeration.
 
+    ``h`` is validated once per scan, as a sign matrix and by one exact
+    is_hadamard; no split checks it again.  The splits of a Hadamard ``h``
+    share the all-pass Gram identities, and the splits of any other square
+    sign matrix compute theirs as a standalone part does.
+
     The summary is an order-independent fold (counts and max-reductions)
     over records taken in lexicographic order, so the result does not depend
     on evaluation strategy.
@@ -274,6 +296,7 @@ def scan(
             f"exhaustive scan of {total_splits} splits exceeds {MAX_EXHAUSTIVE_SPLITS}; "
             f"sample with --limit, or give a limit >= {total_splits} to enumerate all"
         )
+    hadamard = is_hadamard(h)
     sampled = limit is not None and limit < total_splits
     counts = {
         CATEGORY_AHP: 0,
@@ -287,7 +310,7 @@ def scan(
     worst_cols: tuple[int, ...] = ()
     counterexamples: list[dict] = []
     for rows_a, cols_a in enumerate_splits(h, r, limit=limit, seed=seed if sampled else None):
-        record = classify_split(h, rows_a, cols_a, zero_tol=zero_tol)
+        record = classify_split(h, rows_a, cols_a, zero_tol=zero_tol, _hadamard=hadamard)
         total += 1
         counts[record.category] += 1
         if record.einf is not None and (worst is None or record.einf > worst):

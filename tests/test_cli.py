@@ -278,8 +278,8 @@ def test_max_order_applies_to_input_files(capsys, monkeypatch, w16_files, comman
     captured = capsys.readouterr()
     assert "16x16" not in captured.err
     if command == "embed":
-        # the file passes; its order-2^16 Walsh host is over the library's own cap
-        assert code == 2 and "order 2^16" in captured.err
+        # the file passes; its order-2^16 Walsh host is over the same cap
+        assert code == 2 and "order 2^16 exceeds maximum order 16" in captured.err
     else:
         assert code == 0
         json.loads(captured.out)
@@ -288,8 +288,55 @@ def test_max_order_applies_to_input_files(capsys, monkeypatch, w16_files, comman
 def test_embed_runs_under_file_cap(capsys, w8_file):
     assert main(["embed", w8_file, "--max-order", "4"]) == 2
     assert "matrix is 8x8" in capsys.readouterr().err
-    assert main(["embed", w8_file, "--max-order", "8"]) == 0
+    # the file fits under 8, its order-256 Walsh host does not (DECISIONS 8)
+    assert main(["embed", w8_file, "--max-order", "8"]) == 2
+    assert "order 2^8 exceeds maximum order 8" in capsys.readouterr().err
+    assert main(["embed", w8_file, "--max-order", "255"]) == 2
+    capsys.readouterr()
+    assert main(["embed", w8_file, "--max-order", "256"]) == 0
     assert json.loads(capsys.readouterr().out)["hostOrder"] == 256
+    assert main(["embed", w8_file, "--general", "--max-order", "256"]) == 2  # 2^(8+3)
+    assert "order 2^11 exceeds maximum order 256" in capsys.readouterr().err
+
+
+def test_embed_host_cap_from_environment(capsys, monkeypatch, w8_file):
+    monkeypatch.setenv("HADLAB_MAX_ORDER", "128")
+    assert main(["embed", w8_file]) == 2
+    assert "order 2^8 exceeds maximum order 128" in capsys.readouterr().err
+
+
+def test_complement_at_order_512_prints_null_determinant(capsys, tmp_path):
+    """|det D| = 4 * 512^253 is past the float range; the report prints null
+    for it and still answers (DECISIONS 9)."""
+    path = tmp_path / "w512.txt"
+    path.write_text(matcore.serialize_sign_matrix(matcore.walsh(9)))
+    code = main(["complement", str(path), "--rows", "1,4,6", "--cols", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 3), captured.err
+    report = json.loads(captured.out)
+    det = report["detComplement"]
+    assert det["pass"] is True
+    assert det["detDAbs"] is None
+    assert det["detAAbs"] == pytest.approx(4.0, rel=1e-12)
+    assert report["N"] == 512 and report["verdict"]["status"] == "AHP"
+
+
+@pytest.mark.parametrize(
+    "guard, message",
+    [
+        ("hadlab.complement.XY_AGREE_TOL", "X_A/Y_A computation paths disagree"),
+        ("hadlab.numlin.PSD_TOL", "polar identity violated"),
+    ],
+)
+def test_failed_numerical_check_exits_cleanly(capsys, monkeypatch, w8_file, guard, message):
+    """A numerical self-check that raises ArithmeticError ends in exit 2 and a
+    one-line message, not a traceback."""
+    monkeypatch.setattr(guard, -1.0)  # every deviation now exceeds the tolerance
+    code = main(["complement", w8_file, "--rows", "1,2,3", "--cols", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("hadlab: " + message)
 
 
 def test_scan_cli_refuses_runaway_exhaustive_scan(capsys, tmp_path):

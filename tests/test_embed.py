@@ -108,3 +108,13 @@ def test_hosts_are_walsh_matrices():
     d = np.array([[1, -1], [-1, -1]], dtype=np.int64)
     emb = embed_distinct_columns(d)
     assert np.array_equal(emb.host, matcore.walsh(2))
+
+
+def test_embed_host_respects_max_order():
+    d = np.array([[1, 1, -1], [1, -1, -1], [1, 1, 1]], dtype=np.int64)
+    with pytest.raises(matcore.MaxOrderError, match="order 2\\^3 exceeds maximum order 4"):
+        embed_distinct_columns(d, max_order=4)
+    assert embed_distinct_columns(d, max_order=8).host_order == 8
+    with pytest.raises(matcore.MaxOrderError, match="order 2\\^5 exceeds maximum order 16"):
+        embed_general(d, max_order=16)
+    assert embed_general(d, max_order=32).host_order == 32

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadlab import matcore
 from hadlab.matcore import (
@@ -14,6 +16,7 @@ from hadlab.matcore import (
     kronecker,
     parse_sign_matrix,
     permute_negate,
+    _parse_sign_lines,
     serialize_sign_matrix,
     walsh,
 )
@@ -174,6 +177,47 @@ def test_parse_errors():
         parse_sign_matrix("   \n ")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("+x\n++", "invalid character 'x' on line 1"),
+        ("++\n\n \n+0", "invalid character '0' on line 4"),  # blank lines count
+        ("+-\n-\n+é", "invalid character 'é' on line 3"),  # before the ragged rows
+        ("++\n+\r-", "invalid character '\\r' on line 2"),  # CR inside a row
+        ("+-\n-", "ragged rows: all rows must have equal length"),
+        ("+-\n \t\n+", "ragged rows: all rows must have equal length"),
+        ("", "empty matrix text"),
+        ("   \n \t\n", "empty matrix text"),
+        ("\r\n\r\n", "empty matrix text"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_sign_matrix(text)
+    assert str(exc.value) == message
+
+
+def test_parse_strips_other_whitespace_at_line_ends():
+    assert np.array_equal(parse_sign_matrix("++\r\n+-\r\n"), walsh(1))
+    assert np.array_equal(parse_sign_matrix("\x0c+ +\t\n\n+\t-\x0b"), walsh(1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text(alphabet="+-+-+- \t\n\rx", max_size=40))
+def test_parse_equals_line_scan_reference(text):
+    """The byte-level decoder returns what the line scan returns, or raises its message."""
+    try:
+        expected = _parse_sign_lines(text)
+    except MatrixFormatError as exc:
+        with pytest.raises(MatrixFormatError) as got:
+            parse_sign_matrix(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_sign_matrix(text)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, expected)
+
+
 def test_parse_serialize_roundtrip_random():
     rng = np.random.default_rng(123)
     for _ in range(50):
@@ -250,6 +294,18 @@ def test_json_float_lists_keep_their_bytes():
     )
     assert matcore.json_dumps({"data": [1.0 / 3, 2.0]}, significant=6) == (
         '{\n  "data": [\n    0.333333,\n    2\n  ]\n}'
+    )
+
+
+@pytest.mark.parametrize("significant", [17, 6, 1])
+def test_json_float_lists_match_per_value_format(significant):
+    values = [0.0, -0.0, 5e-324, 1e-320, 0.1, 1 / 3, -2.5, 1e16, 1e17, 123456789012345678.0]
+    values += [float(x) for x in np.random.default_rng(7).normal(size=200) * 1e3]
+    values.append(np.finfo(np.float64).max.item())
+    pad = "\n    "
+    expected = "[" + pad + ("," + pad).join(format(v, f".{significant}g") for v in values)
+    assert matcore.json_dumps({"data": values}, significant=significant) == (
+        "{\n  \"data\": " + expected + "\n  ]\n}"
     )
 
 

@@ -9,6 +9,9 @@ signed permutations P, Q, so category, verdict, norms, ||E||_inf and the
 identity checks must all agree between the two.
 """
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from hypothesis import strategies as st
 from hadlab import numlin
 from hadlab.complement import CROSS_TOL, complement_polar
 from hadlab.matcore import PartitionedHadamard, is_hadamard, paley12, permute_negate, walsh
-from hadlab.scan import classify_split
+from hadlab.scan import classify_split, scan
+
+scan_module = importlib.import_module("hadlab.scan")  # the package exports a function `scan`
 
 MATRICES = {"walsh3": walsh(3), "walsh4": walsh(4), "paley12": paley12()}
 
@@ -83,6 +88,42 @@ def test_closed_form_matches_oracle_on_equivalents(case):
     oracle = numlin.polar(part.d.astype(np.float64))
     assert numlin.max_abs(factors.u - oracle.u) <= CROSS_TOL
     assert numlin.max_abs(factors.t - oracle.t) <= CROSS_TOL
+
+
+def _record_fields(record):
+    """Everything a scan reads from a record, and the checks behind it."""
+    return (
+        record.category,
+        record.verdict.to_json(),
+        record.einf,
+        record.cross_dev,
+        record.gram,
+        None if record.sv_check is None else record.sv_check.to_json(),
+        record.det_check.to_json(),
+        record.reason,
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(moved_splits(), st.integers(0, 2**16))
+def test_scan_records_equal_standalone_records(case, seed):
+    """scan() validates H once and builds its parts without rechecking; each
+    record it folds equals, bit for bit, the record of a fully validated
+    standalone classify_split of the same split."""
+    h, move, rows, _ = case
+    moved = permute_negate(h, *move)
+    records = []
+
+    def capture(*args, **kwargs):
+        records.append(classify_split(*args, **kwargs))
+        return records[-1]
+
+    with mock.patch.object(scan_module, "classify_split", capture):
+        scan(moved, len(rows), limit=4, seed=seed)
+    assert len(records) == 4
+    for record in records:
+        alone = classify_split(moved, record.rows_a, record.cols_a)
+        assert _record_fields(record) == _record_fields(alone)
 
 
 # --- exactness of the single-precision Gram products -------------------------

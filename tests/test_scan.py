@@ -4,6 +4,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import importlib
+
 from hadlab import matcore
 from hadlab.matcore import json_dumps
 from hadlab.scan import (
@@ -14,6 +16,8 @@ from hadlab.scan import (
     enumerate_splits,
     scan,
 )
+
+scan_module = importlib.import_module("hadlab.scan")  # the package exports a function `scan`
 
 
 def test_enumeration_counts(w4, w8):
@@ -196,3 +200,22 @@ def test_scan_limit_at_least_total_enumerates_everything(w8):
     full = scan(w8, 1)
     assert json_dumps(scan(w8, 1, limit=64).to_json()) == json_dumps(full.to_json())
     assert scan(w8, 1, limit=10**9).total_splits == 64
+
+
+@pytest.mark.parametrize("r, limit", [(2, None), (4, 300)])
+def test_scan_of_non_hadamard_matrix_equals_standalone_records(monkeypatch, w8, r, limit):
+    """A sign matrix that is not Hadamard: scan() computes each split's Gram
+    identities as a standalone part does, so its summary is the fold of fully
+    validated standalone records."""
+    h = np.array(w8)
+    h[2, 5] *= -1
+    trusted = scan(h, r, limit=limit, seed=3)
+    assert trusted.counts["AHP"] == trusted.counts["NotAHP"] == 0  # no closed form without H H^t = N I
+    assert trusted.counts["inapplicable"] > 0
+    standalone = scan_module.classify_split
+
+    def validated(h, rows_a, cols_a, zero_tol, _hadamard):
+        return standalone(h, rows_a, cols_a, zero_tol)
+
+    monkeypatch.setattr(scan_module, "classify_split", validated)
+    assert json_dumps(scan(h, r, limit=limit, seed=3).to_json()) == json_dumps(trusted.to_json())
