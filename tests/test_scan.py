@@ -1,10 +1,9 @@
+import importlib
 import json
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-
-import importlib
 
 from hadlab import matcore
 from hadlab.matcore import json_dumps
