@@ -42,6 +42,7 @@ SCAN_CASES = [
 INPUTS = {
     "w4.txt": serialize_sign_matrix(walsh(2)),
     "w8.txt": serialize_sign_matrix(walsh(3)),
+    "w16.txt": serialize_sign_matrix(walsh(4)),
     "h12.txt": serialize_sign_matrix(paley12()),
     "w8_d1235.txt": serialize_sign_matrix(PartitionedHadamard(walsh(3), (0, 1, 2, 4), (0, 1, 2, 4)).d),
     "a3.txt": "+++\n+-+\n++-",
@@ -60,12 +61,19 @@ CLI_CASES = [
     ("bounds_block", ["bounds", "--r", "3", "--N", "16", "--block", "a3.txt"], 0),
     ("embed_d3", ["embed", "d3.txt"], 0),
     ("polar_m3", ["polar", "m3.txt"], 0),
+    ("polar_m3_text", ["polar", "m3.txt", "--format", "text"], 0),
     ("scan_w8_r2", ["scan", "w8.txt", "--r", "2", "--name", "walsh3"], 0),
     ("complement_w8_zero_entry", ["complement", "w8.txt", "--rows", "1,2,3,5", "--cols", "1,2,3,5"], 1),
     ("complement_h12_sign_flip", ["complement", "h12.txt", "--rows", "1,2,3,5,6", "--cols", "1,2,3,5,6"], 1),
     ("complement_w8_r3_ahp", ["complement", "w8.txt", "--rows", "1,2,3", "--cols", "1,2,3"], 0),
     ("complement_w8_singular", ["complement", "w8.txt", "--rows", "1,2", "--cols", "1,3"], 3),
     ("complement_w4_norm_boundary", ["complement", "w4.txt", "--rows", "1,2,3", "--cols", "1,2,3"], 3),
+    ("complement_w16_r3", ["complement", "w16.txt", "--rows", "1,2,3", "--cols", "1,2,3"], 0),
+    (
+        "complement_w16_r3_text",
+        ["complement", "w16.txt", "--rows", "1,2,3", "--cols", "1,2,3", "--format", "text"],
+        0,
+    ),
 ]
 
 #: Key paths (matched as a run of consecutive keys on the path to a value) whose
