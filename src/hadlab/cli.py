@@ -12,6 +12,7 @@ corner, norm boundary, or singular pattern).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,7 +58,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-zero", type=float, default=ahp.ZERO_TOL)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it reads no environment
+    (HADLAB_MAX_ORDER is resolved per call in _validate_config), and every
+    parse_args call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(prog="hadlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,6 +140,8 @@ def _report_text(obj, prefix: str = "") -> list[str]:
     lines = []
     items = obj.items() if isinstance(obj, dict) else ((None, value) for value in obj)
     for key, value in items:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         if isinstance(value, (dict, list)):
             if key is not None:
                 lines.append(f"{prefix}{key}:")
@@ -232,6 +239,7 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         matrix_name=args.name,
         zero_tol=args.tol_zero,
+        _hadamard=True,  # require_hadamard just checked it
     )
     _emit(summary.to_json(), args.format)
     return EXIT_OK

@@ -527,6 +527,8 @@ def _emit_json(obj, out: list[str], indent: int, level: int, significant: int) -
             out.append(("," if i else "") + "\n" + pad + json.dumps(key) + ": ")
             _emit_json(value, out, indent, level + 1, significant)
         out.append("\n" + closing + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        out.append(_float_array_json(obj, pad, closing, significant))
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
@@ -549,6 +551,27 @@ def _emit_json(obj, out: list[str], indent: int, level: int, significant: int) -
         raise TypeError(f"cannot serialize {type(obj)} to JSON")
 
 
+def _float_array_json(a: np.ndarray, pad: str, closing: str, significant: int) -> str:
+    """A 1-d float64 array as a JSON list, each distinct value formatted once.
+
+    The values are keyed by their bits, so 0.0 and -0.0 stay apart and every
+    entry prints exactly as format(v, f".{significant}g") prints it.  The
+    closed-form factors have a few dozen distinct values among thousands of
+    entries, so the formatting work follows the distinct values, not the
+    entries.
+    """
+    if a.size == 0:
+        return "[]"
+    if not np.isfinite(a).all():
+        raise ValueError("cannot format non-finite value")
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    uniques = bits.view(np.float64).tolist()
+    # "%.17g" % v prints a float exactly as format(v, ".17g") does
+    strings = ("\n".join([f"%.{significant}g"] * len(uniques)) % tuple(uniques)).split("\n")
+    entries = np.array(strings, dtype=object)[inverse]
+    return "[\n" + pad + (",\n" + pad).join(entries.tolist()) + "\n" + closing + "]"
+
+
 def json_dumps(obj, indent: int = 2, significant: int = 17) -> str:
     """Deterministic JSON: insertion-ordered keys, floats printed with a fixed
     number of significant digits (17 round-trips doubles exactly)."""
@@ -558,11 +581,15 @@ def json_dumps(obj, indent: int = 2, significant: int = 17) -> str:
 
 
 def real_matrix_to_json(m) -> dict:
-    """Row-major JSON object {"rows", "cols", "data"} for a real matrix."""
+    """Row-major JSON object {"rows", "cols", "data"} for a real matrix;
+    ``data`` is a read-only 1-d float64 copy of the entries, which json_dumps
+    renders without a round trip through a Python list."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    return {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
+    data = m.flatten()
+    data.setflags(write=False)
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
 
 
 def real_matrix_from_json(obj) -> np.ndarray:

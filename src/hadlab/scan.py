@@ -271,13 +271,17 @@ def scan(
     seed: int = 0,
     matrix_name: str | None = None,
     zero_tol: float = ZERO_TOL,
+    *,
+    _hadamard: bool | None = None,
 ) -> ScanSummary:
     """Fold classify_split over the enumeration.
 
     ``h`` is validated once per scan, as a sign matrix and by one exact
-    is_hadamard; no split checks it again.  The splits of a Hadamard ``h``
-    share the all-pass Gram identities, and the splits of any other square
-    sign matrix compute theirs as a standalone part does.
+    is_hadamard; no split checks it again.  ``_hadamard`` is for a caller
+    that has already decided is_hadamard(h) (``hadlab scan`` after
+    require_hadamard): its verdict replaces the check.  The splits of a
+    Hadamard ``h`` share the all-pass Gram identities, and the splits of any
+    other square sign matrix compute theirs as a standalone part does.
 
     The summary is an order-independent fold (counts and max-reductions)
     over records taken in lexicographic order, so the result does not depend
@@ -296,7 +300,7 @@ def scan(
             f"exhaustive scan of {total_splits} splits exceeds {MAX_EXHAUSTIVE_SPLITS}; "
             f"sample with --limit, or give a limit >= {total_splits} to enumerate all"
         )
-    hadamard = is_hadamard(h)
+    hadamard = is_hadamard(h) if _hadamard is None else _hadamard
     sampled = limit is not None and limit < total_splits
     counts = {
         CATEGORY_AHP: 0,

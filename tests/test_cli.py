@@ -346,3 +346,49 @@ def test_scan_cli_refuses_runaway_exhaustive_scan(capsys, tmp_path):
     assert "--limit" in capsys.readouterr().err
     assert main(["scan", str(path), "--r", "3", "--limit", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["counts"]["total"] == 5
+
+
+def test_cached_parser_behaves_as_a_fresh_one(capsys, monkeypatch, w16_files):
+    """The parser is built once per process; each call still parses from a
+    fresh namespace and reads HADLAB_MAX_ORDER at call time."""
+    from hadlab.cli import _build_parser
+
+    sign, _ = w16_files
+    assert _build_parser() is _build_parser()
+    for argv in (["scan", sign, "--r", "1", "--max-order", "16"], ["check-ahp", sign]):
+        assert vars(_build_parser().parse_args(argv)) == vars(_build_parser.__wrapped__().parse_args(argv))
+    monkeypatch.setenv("HADLAB_MAX_ORDER", "16")
+    assert main(["scan", sign, "--r", "1", "--limit", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["total"] == 3
+    monkeypatch.setenv("HADLAB_MAX_ORDER", "8")
+    assert main(["check-ahp", sign]) == 2
+    assert "matrix is 16x16, exceeds maximum order 8" in capsys.readouterr().err
+
+
+def test_scan_cli_checks_the_matrix_once(capsys, monkeypatch, w16_files):
+    """hadlab scan takes one N x N Gram product (require_hadamard's); scan()
+    reuses that verdict instead of checking H again."""
+    sign, _ = w16_files
+    full = []
+    sign_gram = matcore._sign_gram
+
+    def counting(s):
+        if np.shape(s) == (16, 16):
+            full.append(1)
+        return sign_gram(s)
+
+    monkeypatch.setattr(matcore, "_sign_gram", counting)
+    assert main(["scan", sign, "--r", "2", "--limit", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["total"] == 20
+    assert len(full) == 1
+
+
+def test_scan_cli_refuses_non_hadamard_matrix(capsys, tmp_path):
+    h = np.array(matcore.walsh(3))
+    h[2, 5] *= -1
+    path = tmp_path / "bad.txt"
+    path.write_text(matcore.serialize_sign_matrix(h))
+    assert main(["scan", str(path), "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hadlab: matrix is not Hadamard (rows are not pairwise orthogonal)\n"

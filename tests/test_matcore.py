@@ -315,10 +315,50 @@ def test_json_float_list_refuses_non_finite(bad):
         matcore.json_dumps(bad)
 
 
+def _float_array_cases():
+    rng = np.random.default_rng(3)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    return {
+        "duplicates": rng.choice([0.1, -1 / 3, 2.5e-8, 7.0, -0.0], size=500),
+        "signed_zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0]),
+        "extremes": np.array([tiny, -tiny, 3 * tiny, 1e-310, big, -big, big, tiny, 1e-300]),
+        "distinct": rng.normal(size=300) * 1e3,
+        "empty": np.zeros(0),
+    }
+
+
+@pytest.mark.parametrize("significant", [17, 6, 1])
+@pytest.mark.parametrize("case", sorted(_float_array_cases()))
+def test_json_float_array_matches_per_value_format(case, significant):
+    """A float64 array renders, byte for byte, as its per-value formatting."""
+    values = _float_array_cases()[case]
+    pad = "\n    "
+    if values.size:
+        rendered = ("," + pad).join(format(v, f".{significant}g") for v in values.tolist())
+        expected = "[" + pad + rendered + "\n  ]"
+    else:
+        expected = "[]"
+    got = matcore.json_dumps({"data": values}, significant=significant)
+    assert got == "{\n  \"data\": " + expected + "\n}"
+    assert got == matcore.json_dumps({"data": values.tolist()}, significant=significant)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_float_array_refuses_non_finite(bad):
+    values = np.tile([0.5, -0.25, 1.0], 4000)
+    values[7777] = bad
+    with pytest.raises(ValueError, match="cannot format non-finite value"):
+        matcore.json_dumps({"data": values})
+
+
 def test_real_matrix_json_roundtrip():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(3, 5))
     obj = matcore.real_matrix_to_json(m)
+    assert isinstance(obj["data"], np.ndarray) and obj["data"].shape == (15,)
+    assert not obj["data"].flags.writeable
+    assert not np.shares_memory(obj["data"], m)
     text = matcore.json_dumps(obj)
     back = matcore.real_matrix_from_json(json.loads(text))
     assert np.array_equal(back, m)

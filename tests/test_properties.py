@@ -201,3 +201,66 @@ def test_gram_identities_exact_at_order_1024():
         ("ACt+BDt=0", False, 2.0),
         ("AtA+CtC=NI", False, 2.0),
     ]
+
+
+# --- the closed form's few distinct values ------------------------------------
+
+STRUCTURE_MATRICES = {"walsh4": walsh(4), "walsh5": walsh(5), "paley12": paley12()}
+VALUE_TOL = 1e-12
+
+
+@st.composite
+def applicable_parts(draw):
+    """A random equivalent of a catalog matrix and a random split of it where
+    the closed form applies (A invertible, ||A|| < sqrt(N))."""
+    h = STRUCTURE_MATRICES[draw(st.sampled_from(sorted(STRUCTURE_MATRICES)))]
+    n = h.shape[0]
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    moved = permute_negate(
+        h, draw(st.permutations(range(n))), draw(st.permutations(range(n))), draw(signs), draw(signs)
+    )
+    r = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    while True:
+        part = PartitionedHadamard(moved, rng.sample(range(n), r), rng.sample(range(n), r))
+        if not part.svd_a.singular and part.svd_a.singular_values[0] < np.sqrt(n) - 1e-9:
+            return part
+
+
+def _pattern_labels(patterns):
+    """One integer label per row of ``patterns``; equal rows share a label."""
+    return np.unique(patterns, axis=0, return_inverse=True)[1].ravel()
+
+
+def _max_spread_by_key(values, keys):
+    """The largest max - min of ``values`` over the entries sharing a key."""
+    groups = np.unique(keys.ravel(), return_inverse=True)[1].ravel()
+    high = np.full(groups.max() + 1, -np.inf)
+    low = np.full(groups.max() + 1, np.inf)
+    np.maximum.at(high, groups, values.ravel())
+    np.minimum.at(low, groups, values.ravel())
+    return float((high - low).max())
+
+
+def _distinct_values(m):
+    """The number of distinct entries of ``m`` after merging gaps <= VALUE_TOL."""
+    return int(np.count_nonzero(np.diff(np.sort(m.ravel())) > VALUE_TOL)) + 1
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(applicable_parts())
+def test_closed_form_factors_take_few_distinct_values(part):
+    """E[i, j] = c_i^t X_A b_j depends only on the sign patterns of row i of C
+    and column j of B, and S[j, l] = b_j^t Y_A b_l only on those of columns j
+    and l of B, so E and S have at most 4^r distinct values however large d
+    is; the JSON emitter formats each distinct value once."""
+    factors = complement_polar(part)
+    c_rows = _pattern_labels(part.c)
+    b_cols = _pattern_labels(part.b.T)
+    width = b_cols.max() + 1
+    e_keys = c_rows[:, None] * width + b_cols[None, :]
+    s_keys = b_cols[:, None] * width + b_cols[None, :]
+    assert _max_spread_by_key(factors.e, e_keys) <= VALUE_TOL
+    assert _max_spread_by_key(factors.s, s_keys) <= VALUE_TOL
+    assert _distinct_values(factors.e) <= 4**part.r
+    assert _distinct_values(factors.s) <= 4**part.r
